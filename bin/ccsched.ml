@@ -79,11 +79,19 @@ let arch_arg =
   in
   Arg.(value & opt string "complete:8" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
+(* ------------------------------------------------------------------ *)
+(* Request knobs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every command that takes knobs builds one Cyclo.Cachekey.knobs record
+   from the subset of these flags it offers (the others keep their
+   defaults) and range-checks it with Cachekey.validate: the record,
+   defaults and messages the service wire protocol uses too. *)
+module Knobs = Cyclo.Cachekey
+
 let mode_arg =
   let doc = "Remapping mode: $(b,relax) (default) or $(b,strict)." in
-  Arg.(value & opt (enum [ ("relax", Cyclo.Remap.With_relaxation);
-                           ("strict", Cyclo.Remap.Without_relaxation) ])
-         Cyclo.Remap.With_relaxation
+  Arg.(value & opt (enum Knobs.modes) Knobs.default_knobs.mode
        & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
 
 let passes_arg =
@@ -92,7 +100,71 @@ let passes_arg =
 
 let slowdown_arg =
   let doc = "Multiply every edge delay by $(docv) before scheduling." in
-  Arg.(value & opt int 1 & info [ "slowdown" ] ~docv:"K" ~doc)
+  Arg.(value & opt int Knobs.default_knobs.slowdown
+       & info [ "slowdown" ] ~docv:"K" ~doc)
+
+let speeds_arg =
+  let doc =
+    "Comma-separated per-processor cycle-time multipliers for a \
+     heterogeneous machine, e.g. 1,1,2,2 (default: uniform)."
+  in
+  Arg.(value & opt (some (list int)) None
+       & info [ "speeds" ] ~docv:"S1,S2,.." ~doc)
+
+let wormhole_flag =
+  let doc =
+    "Wormhole transport (hops + volume - 1) instead of store-and-forward, \
+     for the schedule's cost model and, in $(b,simulate), the execution."
+  in
+  Arg.(value & vflag Knobs.default_knobs.transport
+         [ (Knobs.Wormhole, info [ "wormhole" ] ~doc) ])
+
+let deadline_arg =
+  Arg.(value & opt (some int) None
+       & info [ "deadline" ] ~docv:"MS"
+           ~doc:"Attach $(b,\"deadline_ms\"): the server abandons the \
+                 schedule/replan computation after $(docv) milliseconds \
+                 with a typed $(b,deadline_exceeded) error reply (carrying \
+                 the best-so-far length when the search got that far).")
+
+let knobs_term ?(mode = false) ?(passes = false) ?(speeds = false)
+    ?(wormhole = false) ?(deadline = false) () =
+  let d = Knobs.default_knobs in
+  let offered on arg default = if on then arg else Term.const default in
+  let make mode passes slowdown speeds transport deadline_ms =
+    {
+      Knobs.mode;
+      passes;
+      speeds = Option.map Array.of_list speeds;
+      slowdown;
+      transport;
+      deadline_ms;
+    }
+  in
+  Term.(
+    const make $ offered mode mode_arg d.mode
+    $ offered passes passes_arg d.passes
+    $ slowdown_arg
+    $ offered speeds speeds_arg None
+    $ offered wormhole wormhole_flag d.transport
+    $ offered deadline deadline_arg d.deadline_ms)
+
+let or_die = function Ok v -> v | Error msg -> die 2 msg
+
+(* The graph as the search sees it, after the knobs' range checks. *)
+let load spec knobs =
+  let g = load_graph spec in
+  or_die (Knobs.validate knobs);
+  Knobs.slowed knobs g
+
+(* The same on a machine: the slowed graph, the machine and the cost
+   model of the requested transport. *)
+let load_on spec arch knobs =
+  let g = load_graph spec in
+  let topo = or_die (parse_arch arch) in
+  or_die (Knobs.validate ~topo knobs);
+  let g, comm = Knobs.instance knobs g topo in
+  (g, topo, comm)
 
 let portfolio_arg =
   let doc =
@@ -111,32 +183,6 @@ let table_flag =
 
 let trace_flag =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-pass trace.")
-
-let speeds_arg =
-  let doc =
-    "Comma-separated per-processor cycle-time multipliers for a      heterogeneous machine, e.g. 1,1,2,2 (default: uniform)."
-  in
-  Arg.(value & opt (some string) None & info [ "speeds" ] ~docv:"S1,S2,.." ~doc)
-
-let parse_speeds topo = function
-  | None -> Ok None
-  | Some text ->
-      let parts = String.split_on_char ',' text in
-      let parsed = List.map int_of_string_opt parts in
-      if List.exists Option.is_none parsed then
-        Error (Printf.sprintf "bad --speeds %S" text)
-      else begin
-        let speeds = Array.of_list (List.map Option.get parsed) in
-        if Array.length speeds <> Topology.n_processors topo then
-          Error
-            (Printf.sprintf "--speeds needs %d entries for %s"
-               (Topology.n_processors topo) (Topology.name topo))
-        else if Array.exists (fun x -> x <= 0) speeds then
-          Error "--speeds entries must be positive"
-        else Ok (Some speeds)
-      end
-
-let or_die = function Ok v -> v | Error msg -> die 2 msg
 
 (* ------------------------------------------------------------------ *)
 (* Observability (--profile / --metrics)                                *)
@@ -195,10 +241,6 @@ let with_observability ~profile ~metrics run =
   end;
   result
 
-let prepared spec slowdown =
-  let g = load_graph spec in
-  if slowdown > 1 then Dataflow.Transform.slowdown g slowdown else g
-
 (* ------------------------------------------------------------------ *)
 (* Commands                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -216,8 +258,8 @@ let list_cmd =
     Term.(const run $ const ())
 
 let show_cmd =
-  let run spec slowdown =
-    let g = prepared spec slowdown in
+  let run spec knobs =
+    let g = load spec knobs in
     Fmt.pr "%a@.@." Dataflow.Csdfg.pp g;
     (match Dataflow.Csdfg.validate g with
     | Ok () -> Fmt.pr "legality: ok@."
@@ -234,7 +276,7 @@ let show_cmd =
     Fmt.pr "min clock period under retiming: %d@." period
   in
   Cmd.v (Cmd.info "show" ~doc:"Inspect a workload: legality, bounds, stats.")
-    Term.(const run $ graph_arg $ slowdown_arg)
+    Term.(const run $ graph_arg $ knobs_term ())
 
 let schedule_cmd =
   let startup_only_flag =
@@ -245,14 +287,13 @@ let schedule_cmd =
                    $(b,scale:100000) graphs where pass-based compaction \
                    is not.")
   in
-  let run spec arch mode passes slowdown speeds portfolio domains table trace
+  let run spec arch (k : Knobs.knobs) portfolio domains table trace
       startup_only profile metrics =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let speeds = or_die (parse_speeds topo speeds) in
+    let g, topo, comm = load_on spec arch k in
+    let speeds = k.speeds and passes = k.passes in
     with_observability ~profile ~metrics @@ fun () ->
     if startup_only then begin
-      let startup = Cyclo.Startup.run_on ?speeds g topo in
+      let startup = Cyclo.Startup.run ?speeds g comm in
       Fmt.pr "workload %s on %s (startup only)@." (Dataflow.Csdfg.name g)
         (Topology.name topo);
       Fmt.pr "start-up length: %d@." (Cyclo.Schedule.length startup);
@@ -268,9 +309,9 @@ let schedule_cmd =
     end
     else
     match portfolio with
-    | Some k ->
-        if k < 1 then die 3 "--portfolio needs K >= 1";
-        let t = Cyclo.Portfolio.run_on ~k ?domains ?speeds ?passes g topo in
+    | Some n ->
+        if n < 1 then die 2 "--portfolio needs K >= 1";
+        let t = Cyclo.Portfolio.run ~k:n ?domains ?speeds ?passes g comm in
         let best = Cyclo.Portfolio.best t in
         Fmt.pr "workload %s on %s@." (Dataflow.Csdfg.name g)
           (Topology.name topo);
@@ -285,10 +326,10 @@ let schedule_cmd =
               problems;
             exit 1)
     | None ->
-    let r = Cyclo.Compaction.run_on ~mode ?speeds ?passes g topo in
+    let r = Cyclo.Compaction.run ~mode:k.mode ?speeds ?passes g comm in
     let startup = r.Cyclo.Compaction.startup and best = r.Cyclo.Compaction.best in
     Fmt.pr "workload %s on %s (%a)@." (Dataflow.Csdfg.name g)
-      (Topology.name topo) Cyclo.Remap.pp_mode mode;
+      (Topology.name topo) Cyclo.Remap.pp_mode k.mode;
     Fmt.pr "start-up length: %d@." (Cyclo.Schedule.length startup);
     Fmt.pr "compacted length: %d (%.0f%% shorter, %d passes%s)@."
       (Cyclo.Schedule.length best)
@@ -317,13 +358,14 @@ let schedule_cmd =
     (Cmd.info "schedule"
        ~doc:"Run start-up scheduling plus cyclo-compaction on one architecture.")
     Term.(
-      const run $ graph_arg $ arch_arg $ mode_arg $ passes_arg $ slowdown_arg
-      $ speeds_arg $ portfolio_arg $ domains_arg $ table_flag $ trace_flag
+      const run $ graph_arg $ arch_arg
+      $ knobs_term ~mode:true ~passes:true ~speeds:true ()
+      $ portfolio_arg $ domains_arg $ table_flag $ trace_flag
       $ startup_only_flag $ profile_arg $ metrics_flag)
 
 let compare_cmd =
-  let run spec passes slowdown =
-    let g = prepared spec slowdown in
+  let run spec (k : Knobs.knobs) =
+    let g = load spec k and passes = k.passes in
     let architectures =
       [
         ("completely connected", Topology.complete 8);
@@ -357,7 +399,7 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:"Compare both remapping modes and the oblivious baseline across \
              the paper's five 8-processor architectures.")
-    Term.(const run $ graph_arg $ passes_arg $ slowdown_arg)
+    Term.(const run $ graph_arg $ knobs_term ~passes:true ())
 
 let export_cmd =
   let output_arg =
@@ -377,8 +419,8 @@ let export_cmd =
              `Csdfg
          & info [ "f"; "format" ] ~docv:"FORMAT" ~doc)
   in
-  let run spec arch slowdown format output =
-    let g = prepared spec slowdown in
+  let run spec arch knobs format output =
+    let g = load spec knobs in
     let schedule () =
       let topo = or_die (parse_arch arch) in
       (Cyclo.Compaction.run_on g topo).Cyclo.Compaction.best
@@ -417,7 +459,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Export a workload or its compacted schedule in various formats.")
-    Term.(const run $ graph_arg $ arch_arg $ slowdown_arg $ format_arg
+    Term.(const run $ graph_arg $ arch_arg $ knobs_term () $ format_arg
           $ output_arg)
 
 let simulate_cmd =
@@ -430,12 +472,6 @@ let simulate_cmd =
          & info [ "contention" ]
              ~doc:"Single-channel FIFO links instead of the paper's \
                    contention-free model.")
-  in
-  let wormhole_flag =
-    Arg.(value & flag
-         & info [ "wormhole" ]
-             ~doc:"Wormhole transport (hops + volume - 1) for both the \
-                   schedule's cost model and the execution.")
   in
   let events_arg =
     Arg.(value & opt (some string) None
@@ -478,12 +514,11 @@ let simulate_cmd =
              ~doc:"Fault-scenario seed; a fixed seed replays the exact \
                    same event stream.")
   in
-  let run spec arch mode passes slowdown iterations contention wormhole
-      faults_path seed events_path timeline_path chrome_path audit profile
-      metrics =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    if faults_path <> None && wormhole then
+  let run spec arch (k : Knobs.knobs) iterations contention faults_path seed
+      events_path timeline_path chrome_path audit profile metrics =
+    let g, topo, comm = load_on spec arch k in
+    if iterations < 1 then die 2 "--iterations needs N >= 1";
+    if faults_path <> None && k.transport = Knobs.Wormhole then
       die 2 "--faults requires store-and-forward transport (drop --wormhole)";
     let faults =
       Option.map
@@ -496,19 +531,11 @@ let simulate_cmd =
         faults_path
     in
     with_observability ~profile ~metrics @@ fun () ->
-    let comm =
-      if wormhole then Cyclo.Comm.wormhole topo
-      else Cyclo.Comm.of_topology topo
-    in
-    let r = Cyclo.Compaction.run ~mode ?passes g comm in
+    let r = Cyclo.Compaction.run ~mode:k.mode ?passes:k.passes g comm in
     let best = r.Cyclo.Compaction.best in
     let policy =
       if contention then Machine.Simulator.Fifo_links
       else Machine.Simulator.Contention_free
-    in
-    let transport =
-      if wormhole then Machine.Simulator.Wormhole
-      else Machine.Simulator.Store_and_forward
     in
     let recorder =
       if
@@ -518,8 +545,8 @@ let simulate_cmd =
       else None
     in
     let stats =
-      Machine.Simulator.execute ~policy ~transport ?recorder ?faults best topo
-        ~iterations
+      Machine.Simulator.execute ~policy ~transport:k.transport ?recorder
+        ?faults best topo ~iterations
     in
     Fmt.pr "schedule: %a@." Cyclo.Schedule.pp_compact best;
     Fmt.pr "execution: %a@." Machine.Simulator.pp_stats stats;
@@ -561,106 +588,10 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Execute the compacted schedule on the event-driven machine \
              simulator and compare against the analytical model.")
-    Term.(const run $ graph_arg $ arch_arg $ mode_arg $ passes_arg
-          $ slowdown_arg $ iterations_arg $ contention_flag $ wormhole_flag
-          $ faults_arg $ seed_arg $ events_arg $ timeline_arg $ chrome_arg
-          $ audit_flag $ profile_arg $ metrics_flag)
-
-let faultsim_cmd =
-  let scenario_arg =
-    Arg.(required & opt (some string) None
-         & info [ "scenario" ] ~docv:"FILE.fault"
-             ~doc:"Fault scenario to inject (see docs/robustness.md for the \
-                   format).")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Deterministic seed for the loss draws; a fixed seed \
-                   replays the exact same event stream.")
-  in
-  let iterations_arg =
-    Arg.(value & opt int 40
-         & info [ "n"; "iterations" ] ~docv:"N"
-             ~doc:"Loop iterations to execute.")
-  in
-  let contention_flag =
-    Arg.(value & flag
-         & info [ "contention" ]
-             ~doc:"Single-channel FIFO links instead of the paper's \
-                   contention-free model.")
-  in
-  let events_arg =
-    Arg.(value & opt (some string) None
-         & info [ "events" ] ~docv:"FILE.jsonl"
-             ~doc:"Write the typed execution event stream, including fault, \
-                   retry, drop and degraded-mode events, as JSONL (schema \
-                   ccsched-sim-events/2).")
-  in
-  let timeline_arg =
-    Arg.(value & opt (some string) None
-         & info [ "timeline" ] ~docv:"FILE.svg"
-             ~doc:"Write the executed-run Gantt chart with fault markers: \
-                   failed lanes are struck through, degraded-mode resume is \
-                   a dashed rule.")
-  in
-  let run spec arch mode passes slowdown scenario_path seed iterations
-      contention events_path timeline_path profile metrics =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let scen = load_scenario scenario_path in
-    (match Machine.Faults.validate scen topo with
-    | Ok () -> ()
-    | Error m -> die 2 (scenario_path ^ ": " ^ m));
-    let armed = Machine.Faults.arm ~seed scen in
-    with_observability ~profile ~metrics @@ fun () ->
-    let r = Cyclo.Compaction.run_on ~mode ?passes g topo in
-    let best = r.Cyclo.Compaction.best in
-    let policy =
-      if contention then Machine.Simulator.Fifo_links
-      else Machine.Simulator.Contention_free
-    in
-    let recorder =
-      if events_path <> None || timeline_path <> None then
-        Some (Machine.Events.recorder ())
-      else None
-    in
-    let stats =
-      Machine.Simulator.execute ~policy ?recorder ~faults:armed best topo
-        ~iterations
-    in
-    Fmt.pr "schedule: %a@." Cyclo.Schedule.pp_compact best;
-    Fmt.pr "execution: %a@." Machine.Simulator.pp_stats stats;
-    (match stats.Machine.Simulator.faults with
-    | Some rep -> Fmt.pr "@.%a" Machine.Audit.pp_degradation rep
-    | None -> ());
-    match recorder with
-    | None -> ()
-    | Some rec_ ->
-        let evs = Machine.Events.events rec_ in
-        let label v = Dataflow.Csdfg.label (Cyclo.Schedule.dfg best) v in
-        let np = Topology.n_processors topo in
-        (match events_path with
-        | Some path ->
-            Cyclo.Export.write_file ~path (Machine.Events.to_jsonl evs);
-            Fmt.pr "wrote %d events to %s@." (Machine.Events.count rec_) path
-        | None -> ());
-        (match timeline_path with
-        | Some path ->
-            Cyclo.Export.write_file ~path
-              (Machine.Timeline.to_svg ~label ~np evs);
-            Fmt.pr "wrote timeline %s@." path
-        | None -> ())
-  in
-  Cmd.v
-    (Cmd.info "faultsim"
-       ~doc:"Execute the compacted schedule under an injected fault scenario: \
-             lossy links retry with exponential backoff, and permanent \
-             processor or link failures trigger degraded-mode rescheduling \
-             on the surviving machine, with the recovery judged and priced.")
-    Term.(const run $ graph_arg $ arch_arg $ mode_arg $ passes_arg
-          $ slowdown_arg $ scenario_arg $ seed_arg $ iterations_arg
-          $ contention_flag $ events_arg $ timeline_arg $ profile_arg
+    Term.(const run $ graph_arg $ arch_arg
+          $ knobs_term ~mode:true ~passes:true ~wormhole:true ()
+          $ iterations_arg $ contention_flag $ faults_arg $ seed_arg
+          $ events_arg $ timeline_arg $ chrome_arg $ audit_flag $ profile_arg
           $ metrics_flag)
 
 let pipeline_cmd =
@@ -669,10 +600,9 @@ let pipeline_cmd =
          & info [ "n"; "iterations" ] ~docv:"N"
              ~doc:"Total loop iterations for the overhead figures.")
   in
-  let run spec arch mode passes slowdown n =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let r = Cyclo.Compaction.run_on ~mode ?passes g topo in
+  let run spec arch (k : Knobs.knobs) n =
+    let g, _, comm = load_on spec arch k in
+    let r = Cyclo.Compaction.run ~mode:k.mode ?passes:k.passes g comm in
     let best = r.Cyclo.Compaction.best in
     match Cyclo.Pipeline.build ~original:g best with
     | Error e ->
@@ -698,8 +628,9 @@ let pipeline_cmd =
     (Cmd.info "pipeline"
        ~doc:"Show the prologue/epilogue the compacted (retimed) schedule \
              requires and its amortized overhead.")
-    Term.(const run $ graph_arg $ arch_arg $ mode_arg $ passes_arg
-          $ slowdown_arg $ iterations_arg)
+    Term.(const run $ graph_arg $ arch_arg
+          $ knobs_term ~mode:true ~passes:true ()
+          $ iterations_arg)
 
 let time_budget_arg =
   Arg.(value & opt (some float) None
@@ -708,12 +639,12 @@ let time_budget_arg =
                  is reported and tagged as truncated.")
 
 let autotune_cmd =
-  let run spec arch passes slowdown speeds time_budget profile metrics =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let speeds = or_die (parse_speeds topo speeds) in
+  let run spec arch (k : Knobs.knobs) time_budget profile metrics =
+    let g, _, comm = load_on spec arch k in
     with_observability ~profile ~metrics @@ fun () ->
-    let t = Cyclo.Autotune.run_on ?passes ?speeds ?time_budget g topo in
+    let t =
+      Cyclo.Autotune.run ?passes:k.passes ?speeds:k.speeds ?time_budget g comm
+    in
     Fmt.pr "%a@." Cyclo.Autotune.pp t;
     Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp t.Cyclo.Autotune.best;
     Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary t.Cyclo.Autotune.best
@@ -723,8 +654,9 @@ let autotune_cmd =
        ~doc:"Run the whole scheduler portfolio (both modes, both scorings, \
              plus local-search polish) in parallel and keep the shortest \
              schedule.")
-    Term.(const run $ graph_arg $ arch_arg $ passes_arg $ slowdown_arg
-          $ speeds_arg $ time_budget_arg $ profile_arg $ metrics_flag)
+    Term.(const run $ graph_arg $ arch_arg
+          $ knobs_term ~passes:true ~speeds:true ()
+          $ time_budget_arg $ profile_arg $ metrics_flag)
 
 let partition_cmd =
   let graphs_arg =
@@ -767,11 +699,9 @@ let optimal_cmd =
              ~doc:"Shard the root placements over N parallel sub-searches; \
                    the result is byte-identical to the sequential search.")
   in
-  let run spec arch slowdown states time_budget shards =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let comm = Cyclo.Comm.of_topology topo in
-    if shards < 1 then die 3 "--shards needs N >= 1";
+  let run spec arch knobs states time_budget shards =
+    let g, _, comm = load_on spec arch knobs in
+    if shards < 1 then die 2 "--shards needs N >= 1";
     (match
        Cyclo.Exhaustive.solve ~max_states:states ?time_budget ~shards g comm
      with
@@ -785,7 +715,7 @@ let optimal_cmd =
           (Cyclo.Schedule.length s) Cyclo.Schedule.pp s
     | Cyclo.Exhaustive.Gave_up None ->
         Fmt.pr "gave up within %d states (instance too large)@." states);
-    let r = Cyclo.Compaction.run_on g topo in
+    let r = Cyclo.Compaction.run g comm in
     Fmt.pr "@.cyclo-compaction (with retiming): length %d@."
       (Cyclo.Schedule.length r.Cyclo.Compaction.best);
     match Cyclo.Exhaustive.optimality_gap r.Cyclo.Compaction.best with
@@ -796,7 +726,7 @@ let optimal_cmd =
     (Cmd.info "optimal"
        ~doc:"Exact branch-and-bound schedule for small graphs, compared \
              against cyclo-compaction.")
-    Term.(const run $ graph_arg $ arch_arg $ slowdown_arg $ states_arg
+    Term.(const run $ graph_arg $ arch_arg $ knobs_term () $ states_arg
           $ time_budget_arg $ shards_arg)
 
 let validate_cmd =
@@ -805,10 +735,8 @@ let validate_cmd =
          & info [] ~docv:"SCHEDULE.csv"
              ~doc:"Schedule CSV produced by `ccsched export -f csv`.")
   in
-  let run spec csv_path arch slowdown speeds =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let speeds = or_die (parse_speeds topo speeds) in
+  let run spec csv_path arch (k : Knobs.knobs) =
+    let g, _, comm = load_on spec arch k in
     let text =
       match
         let ic = open_in csv_path in
@@ -847,7 +775,7 @@ let validate_cmd =
             | exception Invalid_argument msg ->
                 die 3 ("bad retiming in CSV: " ^ msg))
     in
-    match Cyclo.Export.of_csv ?speeds g (Cyclo.Comm.of_topology topo) text with
+    match Cyclo.Export.of_csv ?speeds:k.speeds g comm text with
     | Error msg -> die 3 msg
     | Ok sched -> (
         Fmt.pr "%a@." Cyclo.Schedule.pp sched;
@@ -865,8 +793,8 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:"Check a schedule CSV against its graph and architecture with \
              the independent validator.")
-    Term.(const run $ graph_arg $ csv_arg $ arch_arg $ slowdown_arg
-          $ speeds_arg)
+    Term.(const run $ graph_arg $ csv_arg $ arch_arg
+          $ knobs_term ~speeds:true ())
 
 (* ------------------------------------------------------------------ *)
 (* Analytics: explain / report / diff                                   *)
@@ -906,14 +834,13 @@ let explain_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"NODE" ~doc:"Node label (or integer id) to explain.")
   in
-  let run spec node_spec arch mode passes slowdown speeds =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let speeds = or_die (parse_speeds topo speeds) in
+  let run spec node_spec arch (k : Knobs.knobs) =
+    let g, topo, comm = load_on spec arch k in
     let node = or_die (resolve_node g node_spec) in
     let r, journal =
       with_journal @@ fun () ->
-      Cyclo.Compaction.run_on ~mode ?speeds ?passes g topo
+      Cyclo.Compaction.run ~mode:k.mode ?speeds:k.speeds ?passes:k.passes g
+        comm
     in
     let best = r.Cyclo.Compaction.best in
     Fmt.pr "workload %s on %s: start-up length %d, compacted length %d@."
@@ -929,8 +856,8 @@ let explain_cmd =
              one node landed where it did: the slots it was refused (with \
              communication-bound, occupancy or tie-break reasons), its \
              priority components at selection, and how compaction moved it.")
-    Term.(const run $ graph_arg $ node_arg $ arch_arg $ mode_arg $ passes_arg
-          $ slowdown_arg $ speeds_arg)
+    Term.(const run $ graph_arg $ node_arg $ arch_arg
+          $ knobs_term ~mode:true ~passes:true ~speeds:true ())
 
 let report_cmd =
   let svg_arg =
@@ -956,13 +883,12 @@ let report_cmd =
                    event-driven simulator (FIFO links, store-and-forward) \
                    and add measured-vs-static columns.")
   in
-  let run spec arch mode passes slowdown speeds k svg startup_only measure =
-    let g = prepared spec slowdown in
-    let topo = or_die (parse_arch arch) in
-    let speeds = or_die (parse_speeds topo speeds) in
+  let run spec arch (knobs : Knobs.knobs) k svg startup_only measure =
+    let g, topo, comm = load_on spec arch knobs in
     let r, journal =
       with_journal @@ fun () ->
-      Cyclo.Compaction.run_on ~mode ?speeds ?passes g topo
+      Cyclo.Compaction.run ~mode:knobs.mode ?speeds:knobs.speeds
+        ?passes:knobs.passes g comm
     in
     let sched =
       if startup_only then r.Cyclo.Compaction.startup
@@ -1002,8 +928,9 @@ let report_cmd =
        ~doc:"Schedule analytics: per-PE occupancy timelines, the traffic \
              matrix and per-link load, iteration-bound gap attribution, and \
              the top blocking edges and hardest placements.")
-    Term.(const run $ graph_arg $ arch_arg $ mode_arg $ passes_arg
-          $ slowdown_arg $ speeds_arg $ topk_arg $ svg_arg $ startup_flag
+    Term.(const run $ graph_arg $ arch_arg
+          $ knobs_term ~mode:true ~passes:true ~speeds:true ()
+          $ topk_arg $ svg_arg $ startup_flag
           $ measure_arg)
 
 let diff_cmd =
@@ -1287,20 +1214,6 @@ let client_cmd =
              ~doc:"Raw mode: forward each line on stdin to the daemon as-is \
                    and print each raw reply line (for scripting and fuzzing).")
   in
-  let wormhole_flag =
-    Arg.(value & flag
-         & info [ "wormhole" ]
-             ~doc:"Wormhole transport (hops + volume - 1) instead of \
-                   store-and-forward.")
-  in
-  let deadline_arg =
-    Arg.(value & opt (some int) None
-         & info [ "deadline" ] ~docv:"MS"
-             ~doc:"Attach $(b,\"deadline_ms\"): the server abandons the \
-                   schedule/replan computation after $(docv) milliseconds \
-                   with a typed $(b,deadline_exceeded) error reply (carrying \
-                   the best-so-far length when the search got that far).")
-  in
   let retry_arg =
     Arg.(value & opt int 0
          & info [ "retry" ] ~docv:"N"
@@ -1327,13 +1240,11 @@ let client_cmd =
     | Ok _ -> 0
     | Error msg -> die 3 ("malformed reply: " ^ msg)
   in
-  let run socket graph arch mode passes slowdown speeds wormhole deadline
-      retry replan fail_pes fail_links stats metrics health trace shutdown
-      stdin_mode =
+  let run socket graph arch knobs retry replan fail_pes fail_links stats
+      metrics health trace shutdown stdin_mode =
     if retry < 0 then die 2 "--retry needs N >= 0";
-    (match deadline with
-    | Some ms when ms < 1 -> die 2 "--deadline needs MS >= 1"
-    | _ -> ());
+    (* the speeds count is the daemon's to check: it owns the arch *)
+    or_die (Knobs.validate knobs);
     let seed = Unix.getpid () lxor (Obs.Trace.now_ns () land 0xFFFFFF) in
     let conn = Service.Client.retrying ~retries:retry ~seed socket in
     let die_client e =
@@ -1405,29 +1316,6 @@ let client_cmd =
                     path)"
                    spec)
           in
-          let knobs =
-            {
-              Service.Protocol.mode;
-              passes;
-              speeds =
-                (match speeds with
-                | None -> None
-                | Some text -> (
-                    (* validated server-side against the topology *)
-                    let parsed =
-                      String.split_on_char ',' text
-                      |> List.map int_of_string_opt
-                    in
-                    if List.exists Option.is_none parsed then
-                      die 2 (Printf.sprintf "bad --speeds %S" text)
-                    else Some (Array.of_list (List.map Option.get parsed))));
-              slowdown;
-              transport =
-                (if wormhole then Cyclo.Cachekey.Wormhole
-                 else Cyclo.Cachekey.Store_and_forward);
-              deadline_ms = deadline;
-            }
-          in
           send_request ~trace
             (Service.Protocol.Schedule { graph = graph_spec; arch; knobs })
       | None -> ());
@@ -1437,7 +1325,12 @@ let client_cmd =
             die 2 "--replan needs at least one --fail-pe or --fail-link";
           send_request ~trace
             (Service.Protocol.Replan
-               { session; fail_pes; fail_links; deadline_ms = deadline })
+               {
+                 session;
+                 fail_pes;
+                 fail_links;
+                 deadline_ms = knobs.Knobs.deadline_ms;
+               })
       | None -> ());
       if stats then send_request Service.Protocol.Stats;
       if metrics then begin
@@ -1471,9 +1364,10 @@ let client_cmd =
        ~doc:"Talk to a running ccsched daemon: submit schedule and replan \
              requests, read cache statistics, or shut it down.  Prints one \
              raw reply line per request (see docs/service.md).")
-    Term.(const run $ socket_arg $ graph_opt_arg $ arch_arg $ mode_arg
-          $ passes_arg $ slowdown_arg $ speeds_arg $ wormhole_flag
-          $ deadline_arg $ retry_arg
+    Term.(const run $ socket_arg $ graph_opt_arg $ arch_arg
+          $ knobs_term ~mode:true ~passes:true ~speeds:true ~wormhole:true
+              ~deadline:true ()
+          $ retry_arg
           $ replan_arg $ fail_pe_arg $ fail_link_arg $ stats_flag
           $ metrics_req_flag $ health_flag $ trace_rpc_flag
           $ shutdown_flag $ stdin_flag)
@@ -1648,7 +1542,7 @@ let () =
   let group =
     Cmd.group info
       [ list_cmd; show_cmd; schedule_cmd; compare_cmd; export_cmd;
-        simulate_cmd; faultsim_cmd; pipeline_cmd; autotune_cmd; partition_cmd;
+        simulate_cmd; pipeline_cmd; autotune_cmd; partition_cmd;
         optimal_cmd; validate_cmd; explain_cmd; report_cmd; diff_cmd;
         serve_cmd; client_cmd; top_cmd ]
   in

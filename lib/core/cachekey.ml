@@ -1,4 +1,8 @@
-(* Content-addressed cache keys for scheduling requests.
+(* The scheduling request spec and its content-addressed cache key.
+
+   The knob record, its defaults, its validator and its canonical
+   rendering live here once; the CLI flags, the wire/journal JSON codec
+   (Service.Protocol) and the cache key all go through them.
 
    The key must cover every input the scheduler's reply bytes depend
    on: the graph (structure, labels and name — the name is printed in
@@ -19,9 +23,66 @@ module G = Digraph.Graph
 
 type transport = Store_and_forward | Wormhole
 
-let transport_name = function
-  | Store_and_forward -> "store-and-forward"
-  | Wormhole -> "wormhole"
+type knobs = {
+  mode : Remap.mode;
+  passes : int option;
+  speeds : int array option;
+  slowdown : int;
+  transport : transport;
+  deadline_ms : int option;
+}
+
+let default_knobs =
+  {
+    mode = Remap.With_relaxation;
+    passes = None;
+    speeds = None;
+    slowdown = 1;
+    transport = Store_and_forward;
+    deadline_ms = None;
+  }
+
+let modes =
+  [ ("relax", Remap.With_relaxation); ("strict", Remap.Without_relaxation) ]
+
+let transports =
+  [ ("store-and-forward", Store_and_forward); ("wormhole", Wormhole) ]
+
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
+let mode_name = name_in modes
+let transport_name = name_in transports
+
+(* Fields are checked in their wire order; the speeds count needs the
+   machine, so it comes last. *)
+let validate ?topo k =
+  let at_least_1 field =
+    Error (Printf.sprintf "%S must be an integer >= 1" field)
+  in
+  match k with
+  | { passes = Some n; _ } when n < 1 -> at_least_1 "passes"
+  | { slowdown; _ } when slowdown < 1 -> at_least_1 "slowdown"
+  | { speeds = Some a; _ }
+    when Array.length a = 0 || Array.exists (fun s -> s <= 0) a ->
+      Error "\"speeds\" entries must be positive"
+  | { deadline_ms = Some ms; _ } when ms < 1 -> at_least_1 "deadline_ms"
+  | { speeds = Some a; _ } -> (
+      match topo with
+      | Some topo when Array.length a <> Topology.n_processors topo ->
+          Error
+            (Printf.sprintf "\"speeds\" needs %d entries for %s, got %d"
+               (Topology.n_processors topo) (Topology.name topo)
+               (Array.length a))
+      | _ -> Ok ())
+  | _ -> Ok ()
+
+let slowed k g =
+  if k.slowdown > 1 then Dataflow.Transform.slowdown g k.slowdown else g
+
+let instance k g topo =
+  ( slowed k g,
+    match k.transport with
+    | Store_and_forward -> Comm.of_topology topo
+    | Wormhole -> Comm.wormhole topo )
 
 let add_graph buf g =
   Buffer.add_string buf (Printf.sprintf "graph %s\n" (Csdfg.name g));
@@ -58,35 +119,31 @@ let add_topology buf topo =
       Buffer.add_string buf (Printf.sprintf "link %d %d %d\n" a b w))
     links
 
-let canonical ?speeds ?passes ?(slowdown = 1) ~mode ~transport g topo =
+(* Every field is named, so a new knob does not compile until the key
+   decides whether it belongs in it. *)
+let canonical { mode; passes; speeds; slowdown; transport; deadline_ms = _ } g
+    topo =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "ccsched-cache/1\n";
   add_graph buf g;
   add_topology buf topo;
-  Buffer.add_string buf
-    (Printf.sprintf "transport %s\n" (transport_name transport));
-  Buffer.add_string buf
-    (Printf.sprintf "mode %s\n"
-       (match mode with
-       | Remap.With_relaxation -> "relax"
-       | Remap.Without_relaxation -> "strict"));
-  Buffer.add_string buf
-    (match passes with
-    | None -> "passes default\n"
-    | Some n -> Printf.sprintf "passes %d\n" n);
-  Buffer.add_string buf
-    (match speeds with
-    | None -> "speeds uniform\n"
-    | Some a ->
-        Printf.sprintf "speeds %s\n"
-          (String.concat ","
-             (List.map string_of_int (Array.to_list a))));
-  Buffer.add_string buf (Printf.sprintf "slowdown %d\n" slowdown);
+  Printf.bprintf buf "transport %s\n" (transport_name transport);
+  Printf.bprintf buf "mode %s\n" (mode_name mode);
+  (match passes with
+  | None -> Buffer.add_string buf "passes default\n"
+  | Some n -> Printf.bprintf buf "passes %d\n" n);
+  (match speeds with
+  | None -> Buffer.add_string buf "speeds uniform\n"
+  | Some a ->
+      Printf.bprintf buf "speeds %s\n"
+        (String.concat "," (List.map string_of_int (Array.to_list a))));
+  Printf.bprintf buf "slowdown %d\n" slowdown;
   Buffer.contents buf
 
-let digest ?speeds ?passes ?slowdown ~mode ~transport g topo =
-  Digest.to_hex
-    (Digest.string (canonical ?speeds ?passes ?slowdown ~mode ~transport g topo))
+let key k g topo = Digest.to_hex (Digest.string (canonical k g topo))
+
+let digest ?speeds ?passes ?(slowdown = 1) ~mode ~transport g topo =
+  key { default_knobs with mode; passes; speeds; slowdown; transport } g topo
 
 let replan_canonical ~parent ~failed_pes ~failed_links =
   let buf = Buffer.create 128 in

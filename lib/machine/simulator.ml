@@ -3,7 +3,7 @@ module Schedule = Cyclo.Schedule
 module G = Digraph.Graph
 
 type policy = Contention_free | Fifo_links
-type transport = Store_and_forward | Wormhole
+type transport = Cyclo.Cachekey.transport = Store_and_forward | Wormhole
 
 type stats = {
   policy : policy;
@@ -79,10 +79,7 @@ let execute_clean ~policy ~transport ~recorder sched topo ~iterations =
           match policy with
           | Contention_free -> "contention-free"
           | Fifo_links -> "fifo-links" );
-        ( "transport",
-          match transport with
-          | Store_and_forward -> "store-and-forward"
-          | Wormhole -> "wormhole" );
+        ("transport", Cyclo.Cachekey.transport_name transport);
       ]
   @@ fun () ->
   if not (Schedule.assigned_all sched) then
@@ -1323,8 +1320,6 @@ let pp_stats ppf s =
     (match s.policy with
     | Contention_free -> "contention-free"
     | Fifo_links -> "fifo-links")
-    (match s.transport with
-    | Store_and_forward -> "store-and-forward"
-    | Wormhole -> "wormhole")
+    (Cyclo.Cachekey.transport_name s.transport)
     s.iterations s.makespan s.average_period s.messages s.message_hops
     s.max_link_backlog s.utilization

@@ -19,8 +19,8 @@ type policy =
   | Contention_free  (** infinite channels per link (the paper's model) *)
   | Fifo_links  (** each directed link carries one message at a time *)
 
-(** How a message crosses the network. *)
-type transport =
+(** How a message crosses the network: the request spec's transport. *)
+type transport = Cyclo.Cachekey.transport =
   | Store_and_forward
       (** the paper's model: each hop stores the whole message —
           [hops * volume] per transfer *)

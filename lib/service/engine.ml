@@ -119,9 +119,7 @@ let record_of_entry key e =
              Statefile.s_key = key;
              s_graph = graph;
              s_arch = arch;
-             (* a deadline changes when an answer arrives, never which
-                answer — and a replayed entry must not re-time-out *)
-             s_knobs = { knobs with P.deadline_ms = None };
+             s_knobs = knobs;
              s_length = e.length;
              s_passes = e.passes;
              s_schedule_json = e.schedule_json;
@@ -310,23 +308,11 @@ let resolve t ~graph ~arch (knobs : P.knobs) =
     | Error msg -> Error (err "bad_request" "%s" msg)
   in
   let* () =
-    match knobs.P.speeds with
-    | None -> Ok ()
-    | Some a when Array.length a = Topology.n_processors topo -> Ok ()
-    | Some a ->
-        Error
-          (err "bad_request" "\"speeds\" needs %d entries for %s, got %d"
-             (Topology.n_processors topo) (Topology.name topo)
-             (Array.length a))
-  in
-  let key =
-    Cachekey.digest ?speeds:knobs.P.speeds ?passes:knobs.P.passes
-      ~slowdown:knobs.P.slowdown ~mode:knobs.P.mode
-      ~transport:knobs.P.transport g topo
+    Result.map_error (err "bad_request" "%s") (Cachekey.validate ~topo knobs)
   in
   Ok
     {
-      key;
+      key = Cachekey.key knobs g topo;
       graph = g;
       p_topo = topo;
       p_spec = graph;
@@ -342,15 +328,7 @@ let resolve t ~graph ~arch (knobs : P.knobs) =
    they were the content-addressed answer. *)
 let compute prep =
   let k = prep.knobs in
-  let g =
-    if k.P.slowdown > 1 then Dataflow.Transform.slowdown prep.graph k.P.slowdown
-    else prep.graph
-  in
-  let comm =
-    match k.P.transport with
-    | Cachekey.Store_and_forward -> Cyclo.Comm.of_topology prep.p_topo
-    | Cachekey.Wormhole -> Cyclo.Comm.wormhole prep.p_topo
-  in
+  let g, comm = Cachekey.instance k prep.graph prep.p_topo in
   match
     Compaction.run ~mode:k.P.mode ?speeds:k.P.speeds ?passes:k.P.passes
       ?time_budget:prep.deadline g comm

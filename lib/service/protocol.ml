@@ -11,7 +11,7 @@ let version = "ccsched-rpc/1"
 
 type graph_spec = Workload of string | Inline of string
 
-type knobs = {
+type knobs = Cyclo.Cachekey.knobs = {
   mode : Cyclo.Remap.mode;
   passes : int option;
   speeds : int array option;
@@ -20,15 +20,7 @@ type knobs = {
   deadline_ms : int option;
 }
 
-let default_knobs =
-  {
-    mode = Cyclo.Remap.With_relaxation;
-    passes = None;
-    speeds = None;
-    slowdown = 1;
-    transport = Cyclo.Cachekey.Store_and_forward;
-    deadline_ms = None;
-  }
+let default_knobs = Cyclo.Cachekey.default_knobs
 
 type request =
   | Schedule of { graph : graph_spec; arch : string; knobs : knobs }
@@ -136,65 +128,78 @@ let json_escape s =
 let fail code fmt =
   Printf.ksprintf (fun message -> Error (err code message)) fmt
 
-let parse_deadline_ms json =
-  match Json.member "deadline_ms" json with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_int v with
-      | Some n when n >= 1 -> Ok (Some n)
-      | _ -> fail "bad_request" "\"deadline_ms\" must be an integer >= 1")
+let validated k =
+  match Cyclo.Cachekey.validate k with
+  | Ok () -> Ok k
+  | Error msg -> fail "bad_request" "%s" msg
 
+(* A number knob that is not an integer decodes as 0, so the validator
+   words it like any other out-of-range value. *)
+let knob_int v = Option.value ~default:0 (Json.to_int v)
+
+let optional_knob what json =
+  match Json.member what json with
+  | None | Some Json.Null -> None
+  | Some v -> Some (knob_int v)
+
+(* The one JSON codec of the knobs, shared by requests and the journal.
+   Absent fields take their defaults.  Errors come in field order: the
+   numbers before "speeds" are validated before its syntax is read. *)
 let parse_knobs json =
   let ( let* ) = Result.bind in
-  let* mode =
-    match Json.member "mode" json with
-    | None -> Ok Cyclo.Remap.With_relaxation
-    | Some (Json.Str "relax") -> Ok Cyclo.Remap.With_relaxation
-    | Some (Json.Str "strict") -> Ok Cyclo.Remap.Without_relaxation
-    | Some _ -> fail "bad_request" "\"mode\" must be \"relax\" or \"strict\""
-  in
-  let* transport =
-    match Json.member "transport" json with
-    | None -> Ok Cyclo.Cachekey.Store_and_forward
-    | Some (Json.Str "store-and-forward") ->
-        Ok Cyclo.Cachekey.Store_and_forward
-    | Some (Json.Str "wormhole") -> Ok Cyclo.Cachekey.Wormhole
-    | Some _ ->
-        fail "bad_request"
-          "\"transport\" must be \"store-and-forward\" or \"wormhole\""
-  in
-  let* passes =
-    match Json.member "passes" json with
-    | None | Some Json.Null -> Ok None
+  let d = default_knobs in
+  let enum what table default =
+    match Json.member what json with
+    | None -> Ok default
     | Some v -> (
-        match Json.to_int v with
-        | Some n when n >= 1 -> Ok (Some n)
-        | _ -> fail "bad_request" "\"passes\" must be an integer >= 1")
+        match Option.bind (Json.to_str v) (fun s -> List.assoc_opt s table) with
+        | Some x -> Ok x
+        | None ->
+            fail "bad_request" "%S must be %s" what
+              (String.concat " or "
+                 (List.map (fun (name, _) -> Printf.sprintf "%S" name) table)))
   in
-  let* slowdown =
-    match Json.member "slowdown" json with
-    | None -> Ok 1
-    | Some v -> (
-        match Json.to_int v with
-        | Some k when k >= 1 -> Ok k
-        | _ -> fail "bad_request" "\"slowdown\" must be an integer >= 1")
+  let* mode = enum "mode" Cyclo.Cachekey.modes d.mode in
+  let* transport = enum "transport" Cyclo.Cachekey.transports d.transport in
+  let* k =
+    validated
+      {
+        d with
+        mode;
+        transport;
+        passes = optional_knob "passes" json;
+        slowdown =
+          Option.fold ~none:d.slowdown ~some:knob_int
+            (Json.member "slowdown" json);
+      }
   in
   let* speeds =
     match Json.member "speeds" json with
     | None | Some Json.Null -> Ok None
     | Some v -> (
-        match
-          Option.map (List.map Json.to_int) (Json.to_list v)
-        with
+        match Option.map (List.map Json.to_int) (Json.to_list v) with
         | Some ints when List.for_all Option.is_some ints ->
-            let a = Array.of_list (List.map Option.get ints) in
-            if Array.length a = 0 || Array.exists (fun s -> s <= 0) a then
-              fail "bad_request" "\"speeds\" entries must be positive"
-            else Ok (Some a)
+            Ok (Some (Array.of_list (List.map Option.get ints)))
         | _ -> fail "bad_request" "\"speeds\" must be an array of integers")
   in
-  let* deadline_ms = parse_deadline_ms json in
-  Ok { mode; passes; speeds; slowdown; transport; deadline_ms }
+  validated { k with speeds; deadline_ms = optional_knob "deadline_ms" json }
+
+let add_knobs buf k =
+  let d = default_knobs in
+  if k.mode <> d.mode then
+    Printf.bprintf buf ",\"mode\":\"%s\"" (Cyclo.Cachekey.mode_name k.mode);
+  if k.transport <> d.transport then
+    Printf.bprintf buf ",\"transport\":\"%s\""
+      (Cyclo.Cachekey.transport_name k.transport);
+  Option.iter (Printf.bprintf buf ",\"passes\":%d") k.passes;
+  if k.slowdown <> d.slowdown then
+    Printf.bprintf buf ",\"slowdown\":%d" k.slowdown;
+  Option.iter
+    (fun a ->
+      Printf.bprintf buf ",\"speeds\":[%s]"
+        (String.concat "," (List.map string_of_int (Array.to_list a))))
+    k.speeds;
+  Option.iter (Printf.bprintf buf ",\"deadline_ms\":%d") k.deadline_ms
 
 let parse_pe_list name json =
   match Json.member name json with
@@ -288,7 +293,10 @@ let parse_request line =
         in
         let* fail_pes = parse_pe_list "fail_pes" json in
         let* fail_links = parse_link_list "fail_links" json in
-        let* deadline_ms = parse_deadline_ms json in
+        let deadline_ms = optional_knob "deadline_ms" json in
+        let* { deadline_ms; _ } =
+          validated { default_knobs with deadline_ms }
+        in
         if fail_pes = [] && fail_links = [] then
           with_id
             (fail "bad_request"
@@ -328,27 +336,7 @@ let request_to_json ?(trace = false) ~id request =
             (Printf.sprintf ",\"graph\":\"%s\"" (json_escape text)));
       Buffer.add_string buf
         (Printf.sprintf ",\"arch\":\"%s\"" (json_escape arch));
-      if knobs.mode <> default_knobs.mode then
-        Buffer.add_string buf ",\"mode\":\"strict\"";
-      if knobs.transport <> default_knobs.transport then
-        Buffer.add_string buf ",\"transport\":\"wormhole\"";
-      (match knobs.passes with
-      | Some n -> Buffer.add_string buf (Printf.sprintf ",\"passes\":%d" n)
-      | None -> ());
-      if knobs.slowdown <> 1 then
-        Buffer.add_string buf
-          (Printf.sprintf ",\"slowdown\":%d" knobs.slowdown);
-      (match knobs.speeds with
-      | Some a ->
-          Buffer.add_string buf
-            (Printf.sprintf ",\"speeds\":[%s]"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list a))))
-      | None -> ());
-      (match knobs.deadline_ms with
-      | Some n ->
-          Buffer.add_string buf (Printf.sprintf ",\"deadline_ms\":%d" n)
-      | None -> ())
+      add_knobs buf knobs
   | Replan { session; fail_pes; fail_links; deadline_ms } ->
       Buffer.add_string buf
         (Printf.sprintf ",\"op\":\"replan\",\"session\":\"%s\""
@@ -364,10 +352,7 @@ let request_to_json ?(trace = false) ~id request =
                 (List.map
                    (fun (a, b) -> Printf.sprintf "[%d,%d]" a b)
                    fail_links)));
-      (match deadline_ms with
-      | Some n ->
-          Buffer.add_string buf (Printf.sprintf ",\"deadline_ms\":%d" n)
-      | None -> ())
+      add_knobs buf { default_knobs with deadline_ms }
   | Stats -> Buffer.add_string buf ",\"op\":\"stats\""
   | Metrics -> Buffer.add_string buf ",\"op\":\"metrics\""
   | Health -> Buffer.add_string buf ",\"op\":\"health\""

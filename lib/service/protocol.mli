@@ -19,18 +19,17 @@ type graph_spec =
   | Workload of string  (** a built-in workload name, e.g. ["fig7"] *)
   | Inline of string  (** a full [.csdfg] text, newlines escaped in JSON *)
 
-type knobs = {
-  mode : Cyclo.Remap.mode;  (** default [With_relaxation] *)
-  passes : int option;  (** default: scales with the graph *)
-  speeds : int array option;  (** default: homogeneous *)
-  slowdown : int;  (** delay multiplier, default 1 *)
-  transport : Cyclo.Cachekey.transport;  (** default [Store_and_forward] *)
+type knobs = Cyclo.Cachekey.knobs = {
+  mode : Cyclo.Remap.mode;
+  passes : int option;
+  speeds : int array option;
+  slowdown : int;
+  transport : Cyclo.Cachekey.transport;
   deadline_ms : int option;
-      (** server-side computation budget in milliseconds; default: the
-          daemon's [--default-deadline], or none.  Not part of the
-          cache key — a deadline changes when an answer arrives, never
-          which answer is cached. *)
+      (** server-side computation budget; default: the daemon's
+          [--default-deadline], or none *)
 }
+(** The request spec of {!Cyclo.Cachekey}, re-exported. *)
 
 val default_knobs : knobs
 
@@ -138,6 +137,16 @@ val parse_request : string -> (int * request * bool, int option * err) result
     (default [false]) asking the server to append a span breakdown to
     the reply; [Error] carries the echoable id (when one could be
     recovered) and the error to reply with.  Never raises. *)
+
+val parse_knobs : Obs.Json.t -> (knobs, err) result
+(** The knob fields of a request or journal object — absent fields take
+    their defaults — checked by {!Cyclo.Cachekey.validate}.  The one
+    JSON decoder of the knobs. *)
+
+val add_knobs : Buffer.t -> knobs -> unit
+(** Append the knobs that differ from {!default_knobs} as
+    [,"field":value] pairs, in a fixed order.  The one JSON encoder of
+    the knobs. *)
 
 val request_to_json : ?trace:bool -> id:int -> request -> string
 (** One line, no trailing newline — what a client sends.

@@ -1,12 +1,14 @@
 (* Append-only warm-restart journal: magic header, then framed records
    (4-byte BE payload length, 4-byte BE CRC32, JSON payload).
 
-   The payload re-uses the wire vocabulary (same knob spellings, same
-   escaping) so a journal is debuggable with the same eyes as the
-   protocol, and the embedded schedule object round-trips byte-exactly:
-   it is stored as an escaped JSON *string*, and Obs.Json's unescape is
-   the exact inverse of Protocol.json_escape for the bytes the exporter
-   produces. *)
+   The payload re-uses the wire vocabulary so a journal is debuggable
+   with the same eyes as the protocol: the knobs go through the
+   protocol's own codec (which also reads older journals' spelled-out
+   defaults, "mode":"relax", "transport":"store-and-forward" and
+   "slowdown":1), and the embedded schedule object round-trips
+   byte-exactly: it is stored as an escaped JSON *string*, and
+   Obs.Json's unescape is the exact inverse of Protocol.json_escape for
+   the bytes the exporter produces. *)
 
 module P = Protocol
 module Json = Obs.Json
@@ -78,14 +80,6 @@ let crc32 s =
 (* Payload encoding/decoding                                            *)
 (* ------------------------------------------------------------------ *)
 
-let mode_str = function
-  | Cyclo.Remap.With_relaxation -> "relax"
-  | Cyclo.Remap.Without_relaxation -> "strict"
-
-let transport_str = function
-  | Cyclo.Cachekey.Store_and_forward -> "store-and-forward"
-  | Cyclo.Cachekey.Wormhole -> "wormhole"
-
 let encode_payload r =
   let buf = Buffer.create 512 in
   let str k v = Printf.bprintf buf ",\"%s\":\"%s\"" k (P.json_escape v) in
@@ -98,16 +92,9 @@ let encode_payload r =
       | P.Workload w -> str "workload" w
       | P.Inline g -> str "graph" g);
       str "arch" s.s_arch;
-      let k = s.s_knobs in
-      str "mode" (mode_str k.P.mode);
-      str "transport" (transport_str k.P.transport);
-      int "slowdown" k.P.slowdown;
-      (match k.P.passes with Some n -> int "passes" n | None -> ());
-      (match k.P.speeds with
-      | Some a ->
-          Printf.bprintf buf ",\"speeds\":[%s]"
-            (String.concat "," (List.map string_of_int (Array.to_list a)))
-      | None -> ());
+      (* a deadline belongs to the request that set it: a restarted
+         daemon's re-derivation must not inherit it *)
+      P.add_knobs buf { s.s_knobs with P.deadline_ms = None };
       int "length" s.s_length;
       int "passes_run" s.s_passes;
       str "schedule" s.s_schedule_json
@@ -156,26 +143,8 @@ let decode_payload payload =
         | _ -> Error "record needs exactly one of workload/graph"
       in
       let* arch = require "arch" (str "arch") in
-      let* mode =
-        match str "mode" with
-        | Some "relax" | None -> Ok Cyclo.Remap.With_relaxation
-        | Some "strict" -> Ok Cyclo.Remap.Without_relaxation
-        | Some m -> Error (Printf.sprintf "unknown mode %S" m)
-      in
-      let* transport =
-        match str "transport" with
-        | Some "store-and-forward" | None -> Ok Cyclo.Cachekey.Store_and_forward
-        | Some "wormhole" -> Ok Cyclo.Cachekey.Wormhole
-        | Some t -> Error (Printf.sprintf "unknown transport %S" t)
-      in
-      let* speeds =
-        match Json.member "speeds" json with
-        | None -> Ok None
-        | Some v -> (
-            match Option.map (List.map Json.to_int) (Json.to_list v) with
-            | Some ints when List.for_all Option.is_some ints ->
-                Ok (Some (Array.of_list (List.map Option.get ints)))
-            | _ -> Error "speeds must be an array of integers")
+      let* knobs =
+        Result.map_error (fun e -> e.P.message) (P.parse_knobs json)
       in
       let* passes_run = require "passes_run" (int "passes_run") in
       Ok
@@ -184,15 +153,7 @@ let decode_payload payload =
              s_key = key;
              s_graph = graph;
              s_arch = arch;
-             s_knobs =
-               {
-                 P.mode;
-                 passes = int "passes";
-                 speeds;
-                 slowdown = Option.value ~default:1 (int "slowdown");
-                 transport;
-                 deadline_ms = None;
-               };
+             s_knobs = knobs;
              s_length = length;
              s_passes = passes_run;
              s_schedule_json = schedule;

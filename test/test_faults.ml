@@ -127,6 +127,46 @@ let test_empty_scenario_is_byte_identical () =
     "same events" (lines clean_jsonl) (lines faulty_jsonl);
   check_bool "clean run reports no faults" true (clean.Sim.faults = None)
 
+(* Under FIFO links the per-hop engine books a directed link for one
+   message at a time: no two hop busy intervals [t - busy, t) on one link
+   overlap.  The clean engine's FIFO path does not hold this yet, which
+   is why the empty-scenario test above is pinned on contention-free
+   runs only (docs/model.md, "Execution semantics"). *)
+let test_per_hop_fifo_never_double_books () =
+  List.iter
+    (fun arch ->
+      let topo = Result.get_ok (Topology.of_spec arch) in
+      List.iter
+        (fun (name, g) ->
+          let r = Events.recorder () in
+          let armed = Faults.arm ~seed:1 (Faults.scenario ~name:"empty" []) in
+          ignore
+            (Sim.execute ~policy:Sim.Fifo_links ~recorder:r ~faults:armed
+               (compacted g topo) topo ~iterations:40);
+          let booked = Hashtbl.create 16 in
+          List.iter
+            (function
+              | Events.Msg_hop { t; link; busy; _ } ->
+                  Hashtbl.replace booked link
+                    ((t - busy, t)
+                    :: Option.value ~default:[] (Hashtbl.find_opt booked link))
+              | _ -> ())
+            (Events.events r);
+          Hashtbl.iter
+            (fun (a, b) intervals ->
+              ignore
+                (List.fold_left
+                   (fun busy_until (start, stop) ->
+                     if start < busy_until then
+                       Alcotest.failf
+                         "%s on %s: link %d->%d double-booked at %d" name arch
+                         a b start;
+                     max busy_until stop)
+                   min_int (List.sort compare intervals)))
+            booked)
+        (Workloads.Suite.all ()))
+    [ "linear:8"; "mesh:2x4" ]
+
 let test_clean_run_replays_identically () =
   let g = Workloads.Examples.fig7 in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
@@ -345,6 +385,8 @@ let () =
           Alcotest.test_case "loss draws" `Quick test_lost_is_deterministic;
           Alcotest.test_case "empty scenario byte-identical" `Quick
             test_empty_scenario_is_byte_identical;
+          Alcotest.test_case "per-hop fifo books links singly" `Quick
+            test_per_hop_fifo_never_double_books;
           Alcotest.test_case "clean replay" `Quick
             test_clean_run_replays_identically;
           Alcotest.test_case "fixed-seed replay" `Quick

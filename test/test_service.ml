@@ -104,18 +104,26 @@ let cfg_gen =
     let* speeds = oneofl [ `No; `Uniform2; `Alternating ] in
     return { mode; passes; slowdown; transport; arch; speeds })
 
+let knobs_of_cfg c =
+  let n = Topology.n_processors (Result.get_ok (Topology.of_spec c.arch)) in
+  {
+    P.default_knobs with
+    P.mode = c.mode;
+    passes = c.passes;
+    slowdown = c.slowdown;
+    transport = c.transport;
+    speeds =
+      (match c.speeds with
+      | `No -> None
+      | `Uniform2 -> Some (Array.make n 2)
+      | `Alternating -> Some (Array.init n (fun i -> 1 + (i mod 2))));
+  }
+
 let digest_of_cfg c =
-  let topo = Result.get_ok (Topology.of_spec c.arch) in
-  let speeds =
-    match c.speeds with
-    | `No -> None
-    | `Uniform2 -> Some (Array.make (Topology.n_processors topo) 2)
-    | `Alternating ->
-        Some
-          (Array.init (Topology.n_processors topo) (fun i -> 1 + (i mod 2)))
-  in
-  Cachekey.digest ?speeds ?passes:c.passes ~slowdown:c.slowdown ~mode:c.mode
-    ~transport:c.transport (fig7 ()) topo
+  let k = knobs_of_cfg c in
+  Cachekey.digest ?speeds:k.P.speeds ?passes:k.P.passes ~slowdown:k.P.slowdown
+    ~mode:k.P.mode ~transport:k.P.transport (fig7 ())
+    (Result.get_ok (Topology.of_spec c.arch))
 
 let prop_digest_injective_across_knobs =
   QCheck.Test.make ~count:300
@@ -150,6 +158,34 @@ let test_replan_digest_chains () =
        ~failed_links:[ (1, 2) ])
     (Cachekey.replan_digest ~parent:"p" ~failed_pes:[]
        ~failed_links:[ (2, 1) ])
+
+(* Every knob away from its default: the second pinned key. *)
+let every_knob_set =
+  {
+    P.default_knobs with
+    P.mode = Cyclo.Remap.Without_relaxation;
+    transport = Cachekey.Wormhole;
+    passes = Some 12;
+    speeds = Some [| 1; 1; 1; 1; 2; 2; 2; 2 |];
+    slowdown = 2;
+  }
+
+(* Session ids are public — the docs quote the first, clients store
+   them — so these keys must never move. *)
+let test_golden_keys () =
+  let topo = Result.get_ok (Topology.of_spec "mesh:2x4") in
+  let default_key = "b6864f184a1075782f4026d4bdc6e3cb" in
+  check_str "default knobs" default_key
+    (Cachekey.key P.default_knobs (fig7 ()) topo);
+  check_str "digest of the defaults" default_key
+    (Cachekey.digest ~mode:Cyclo.Remap.With_relaxation
+       ~transport:Cachekey.Store_and_forward (fig7 ()) topo);
+  check_str "a deadline stays out of the key" default_key
+    (Cachekey.key
+       { P.default_knobs with P.deadline_ms = Some 5 }
+       (fig7 ()) topo);
+  check_str "every knob set" "1c16b439236cc2f23f9574af298da1e1"
+    (Cachekey.key every_knob_set (fig7 ()) topo)
 
 (* {2 Replan parity with Cyclo.Degrade} *)
 
@@ -314,6 +350,92 @@ let test_malformed_lines_become_error_replies () =
     "{\"rpc\":\"ccsched-rpc/1\",\"id\":1,\"op\":\"schedule\",\"workload\":\"fig7\",\"arch\":\"ring:4\",\"speeds\":[1,2]}";
   expect "bad_request"
     "{\"rpc\":\"ccsched-rpc/1\",\"id\":1,\"op\":\"stats\",\"trace\":1}"
+
+(* One bad knob per request: the exact reply bytes, including each
+   message, which the CLI prints too.  The last rows pin which of two
+   bad knobs is reported. *)
+let test_bad_knob_replies () =
+  let e = Engine.create () in
+  let reply id message =
+    Printf.sprintf
+      {|{"rpc":"ccsched-rpc/1","id":%d,"ok":false,"error":{"code":"bad_request","message":%s}}|}
+      id message
+  in
+  List.iteri
+    (fun i (fields, message) ->
+      let id = i + 1 in
+      let line =
+        Printf.sprintf
+          {|{"rpc":"ccsched-rpc/1","id":%d,"op":"schedule","workload":"fig7","arch":"mesh:2x4",%s}|}
+          id fields
+      in
+      check_str fields (reply id message) (fst (Engine.handle_line e line)))
+    [
+      ({|"mode":"fast"|}, {|"\"mode\" must be \"relax\" or \"strict\""|});
+      ({|"mode":1|}, {|"\"mode\" must be \"relax\" or \"strict\""|});
+      ( {|"transport":"teleport"|},
+        {|"\"transport\" must be \"store-and-forward\" or \"wormhole\""|} );
+      ({|"passes":0|}, {|"\"passes\" must be an integer >= 1"|});
+      ({|"passes":-3|}, {|"\"passes\" must be an integer >= 1"|});
+      ({|"passes":1.5|}, {|"\"passes\" must be an integer >= 1"|});
+      ({|"slowdown":0|}, {|"\"slowdown\" must be an integer >= 1"|});
+      ({|"slowdown":"2"|}, {|"\"slowdown\" must be an integer >= 1"|});
+      ({|"slowdown":null|}, {|"\"slowdown\" must be an integer >= 1"|});
+      ({|"speeds":[]|}, {|"\"speeds\" entries must be positive"|});
+      ({|"speeds":[0]|}, {|"\"speeds\" entries must be positive"|});
+      ( {|"speeds":[1,1,1,1,1,1,1,0]|},
+        {|"\"speeds\" entries must be positive"|} );
+      ({|"speeds":"1,2"|}, {|"\"speeds\" must be an array of integers"|});
+      ({|"speeds":[1,"a"]|}, {|"\"speeds\" must be an array of integers"|});
+      ( {|"speeds":[1,2]|},
+        {|"\"speeds\" needs 8 entries for mesh-2x4, got 2"|} );
+      ({|"deadline_ms":0|}, {|"\"deadline_ms\" must be an integer >= 1"|});
+      ({|"passes":0,"speeds":"x"|}, {|"\"passes\" must be an integer >= 1"|});
+      ( {|"slowdown":0,"deadline_ms":"x"|},
+        {|"\"slowdown\" must be an integer >= 1"|} );
+    ];
+  check_str "replan deadline"
+    (reply 99 {|"\"deadline_ms\" must be an integer >= 1"|})
+    (fst
+       (Engine.handle_line e
+          {|{"rpc":"ccsched-rpc/1","id":99,"op":"replan","session":"x","fail_pes":[1],"deadline_ms":0}|}))
+
+(* The one knob codec round-trips through a request line and through a
+   journal record, which drops the deadline. *)
+let prop_knob_codec_round_trips =
+  QCheck.Test.make ~count:200 ~name:"knob codec round-trips"
+    (QCheck.make
+       QCheck.Gen.(pair cfg_gen (opt (int_range 1 100_000))))
+    (fun (c, deadline_ms) ->
+      let knobs = { (knobs_of_cfg c) with P.deadline_ms } in
+      let line =
+        P.request_to_json ~id:1
+          (P.Schedule { graph = P.Workload "fig7"; arch = c.arch; knobs })
+      in
+      let framed =
+        Statefile.encode_record
+          (Statefile.Sched
+             {
+               Statefile.s_key = "k";
+               s_graph = P.Workload "fig7";
+               s_arch = c.arch;
+               s_knobs = knobs;
+               s_length = 1;
+               s_passes = 1;
+               s_schedule_json = "{}";
+             })
+      in
+      (match P.parse_request line with
+      | Ok (_, P.Schedule { knobs = k; _ }, _) -> k = knobs
+      | _ -> false)
+      &&
+      match
+        Statefile.decode_payload
+          (String.sub framed 8 (String.length framed - 8))
+      with
+      | Ok (Statefile.Sched s) ->
+          s.Statefile.s_knobs = { knobs with P.deadline_ms = None }
+      | _ -> false)
 
 let prop_parse_request_total =
   QCheck.Test.make ~count:500 ~name:"parse_request never raises"
@@ -881,14 +1003,115 @@ let test_statefile_crc_and_round_trip () =
       | Error msg -> Alcotest.fail ("round trip failed: " ^ msg))
     (sample_records ())
 
-(* Write [data] as a fresh journal image and open it. *)
-let open_image dir data =
+(* Frame a raw payload the way the journal does. *)
+let frame payload =
+  let b = Bytes.create 8 in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
+  Bytes.set_int32_be b 4 (Statefile.crc32 payload);
+  Bytes.to_string b ^ payload
+
+let write_image dir data =
   (try Unix.mkdir dir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let file = Filename.concat dir "state.ccsj" in
-  let oc = open_out_bin file in
+  let oc = open_out_bin (Filename.concat dir "state.ccsj") in
   output_string oc data;
-  close_out oc;
+  close_out oc
+
+(* Older journals spell every default knob out.  Such records decode to
+   the same knobs, replay the same replies, and re-derive the same
+   schedule when a replan chains on them. *)
+let test_journal_reads_spelled_out_defaults () =
+  with_state_dir @@ fun dir ->
+  let cold = Engine.create () in
+  let cases =
+    [
+      ( P.default_knobs,
+        {|"mode":"relax","transport":"store-and-forward","slowdown":1|} );
+      ( every_knob_set,
+        {|"mode":"strict","transport":"wormhole","slowdown":2,"passes":12,"speeds":[1,1,1,1,2,2,2,2]|}
+      );
+    ]
+  in
+  let requests =
+    List.mapi
+      (fun i (knobs, _) ->
+        let line = sched_line ~id:(i + 1) ~knobs "fig7" "mesh:2x4" in
+        (line, fst (Engine.handle_line cold line)))
+      cases
+  in
+  let session_of reply =
+    match P.parse_reply reply with
+    | Ok (P.Scheduled { session; length; passes; _ }) ->
+        (session, length, passes)
+    | _ -> Alcotest.fail "expected a schedule reply"
+  in
+  let payloads =
+    List.map2
+      (fun (knobs, spelled) (_, miss) ->
+        let session, length, passes = session_of miss in
+        let payload =
+          Printf.sprintf
+            {|{"t":"sched","key":"%s","workload":"fig7","arch":"mesh:2x4",%s,"length":%d,"passes_run":%d,"schedule":"%s"}|}
+            session spelled length passes
+            (P.json_escape (schedule_field miss))
+        in
+        (match Statefile.decode_payload payload with
+        | Ok (Statefile.Sched s) ->
+            check_bool ("same knobs from " ^ spelled) true
+              (s.Statefile.s_knobs = knobs)
+        | _ -> Alcotest.fail ("undecodable: " ^ spelled));
+        payload)
+      cases requests
+  in
+  write_image dir
+    (Statefile.magic ^ String.concat "" (List.map frame payloads));
+  let e = Engine.create ~state_dir:dir () in
+  check "both records restored" 2 (Engine.stats e).P.entries;
+  List.iter
+    (fun (line, miss) ->
+      check_str "restored reply is byte-identical modulo cached"
+        (replace ~sub:"\"cached\":false" ~by:"\"cached\":true" miss)
+        (fst (Engine.handle_line e line)))
+    requests;
+  let session, _, _ = session_of (snd (List.nth requests 1)) in
+  let replan =
+    P.request_to_json ~id:9
+      (P.Replan
+         { session; fail_pes = [ 8 ]; fail_links = []; deadline_ms = None })
+  in
+  check_str "replan on the restored entry equals the cold one"
+    (fst (Engine.handle_line cold replan))
+    (fst (Engine.handle_line e replan));
+  Engine.close e
+
+(* The journal never stores a deadline, so a restarted daemon's lazy
+   re-derivation cannot inherit the first requester's budget. *)
+let test_journal_drops_deadline () =
+  let record =
+    Statefile.Sched
+      {
+        Statefile.s_key = "0123456789abcdef0123456789abcdef";
+        s_graph = P.Workload "fig7";
+        s_arch = "mesh:2x4";
+        s_knobs = { every_knob_set with P.deadline_ms = Some 250 };
+        s_length = 9;
+        s_passes = 12;
+        s_schedule_json = "{}";
+      }
+  in
+  let framed = Statefile.encode_record record in
+  let payload = String.sub framed 8 (String.length framed - 8) in
+  check_bool "no deadline_ms field" false
+    (replace ~sub:"deadline_ms" ~by:"" payload <> payload);
+  match Statefile.decode_payload payload with
+  | Ok (Statefile.Sched s) ->
+      check_bool "decodes without the deadline" true
+        (s.Statefile.s_knobs = every_knob_set)
+  | _ -> Alcotest.fail "record did not decode"
+
+(* Write [data] as a fresh journal image and open it. *)
+let open_image dir data =
+  write_image dir data;
   match Statefile.open_ ~dir with
   | Ok (t, records, dropped) ->
       Statefile.close t;
@@ -1118,6 +1341,7 @@ let () =
             test_digest_covers_graph_identity;
           Alcotest.test_case "replan digests chain" `Quick
             test_replan_digest_chains;
+          Alcotest.test_case "golden keys" `Quick test_golden_keys;
         ] );
       ( "replan",
         [
@@ -1141,6 +1365,8 @@ let () =
         [
           Alcotest.test_case "malformed lines" `Quick
             test_malformed_lines_become_error_replies;
+          Alcotest.test_case "bad knob replies" `Quick test_bad_knob_replies;
+          q prop_knob_codec_round_trips;
           q prop_parse_request_total;
           Alcotest.test_case "inline graph" `Quick
             test_inline_graph_round_trips;
@@ -1181,6 +1407,10 @@ let () =
             test_statefile_survives_any_truncation;
           Alcotest.test_case "corruption at every byte" `Quick
             test_statefile_survives_any_byte_flip;
+          Alcotest.test_case "spelled-out default knobs" `Quick
+            test_journal_reads_spelled_out_defaults;
+          Alcotest.test_case "deadline never stored" `Quick
+            test_journal_drops_deadline;
         ] );
       ( "warm-restart",
         [
