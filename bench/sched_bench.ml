@@ -178,11 +178,7 @@ let measure ~quota tests =
         analyzed [])
     tests
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+let json_escape = Obs.Json.Writer.escape
 
 (* Deterministic schedule-quality rows: startup/best lengths and pass
    counts for every workload x topology drive.  These are what the

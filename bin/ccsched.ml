@@ -1230,7 +1230,9 @@ let client_cmd =
      docs/cli.md. *)
   let exit_code_of_error_code = function
     | "parse" | "bad_graph" -> 3
-    | "version" | "bad_request" | "unknown_session" | "overloaded" -> 2
+    | "version" | "bad_request" | "unknown_session" | "overloaded"
+    | "too_large" ->
+        2
     | _ -> 1
   in
   let reply_exit line =
@@ -1256,7 +1258,15 @@ let client_cmd =
           die 2 (Service.Client.error_to_string e)
       | _ -> die 3 (Service.Client.error_to_string e)
     in
-    let rpc conn line = Service.Client.retrying_rpc_line conn line in
+    (* SIGPIPE is ignored only while the socket is in use: a daemon that
+       closes mid-send gives an error reply or exit 3, while a closed
+       stdout still ends the client silently, as it ends other tools. *)
+    let rpc conn line =
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let reply = Service.Client.retrying_rpc_line conn line in
+      Sys.set_signal Sys.sigpipe Sys.Signal_default;
+      reply
+    in
     let rpc_or_die line =
       match rpc conn line with
       | Ok reply ->

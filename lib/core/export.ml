@@ -82,16 +82,7 @@ let of_csv ?speeds dfg comm text =
                    l needed)
           | None -> Ok (Schedule.set_length sched needed)))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Obs.Json.Writer.escape
 
 let to_json sched =
   let dfg = Schedule.dfg sched in

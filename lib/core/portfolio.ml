@@ -26,10 +26,16 @@ type t = {
 }
 
 let default_k = 8
-let default_round_passes = 8
-let default_patience_lead = 24
-let default_patience_lose = 12
-let default_shadow_patience = 12
+
+(* Passes per round between barriers, and the staleness (in passes) at
+   which a search retires: [patience_lead] at or near the shared bound,
+   [patience_lose] further behind, [shadow_patience] for a twin of a
+   lower-indexed search.  Sized so the bench suite's winners are never
+   cut off (DESIGN.md). *)
+let round_passes = 8
+let patience_lead = 24
+let patience_lose = 12
+let shadow_patience = 12
 
 let combos =
   [|
@@ -66,14 +72,9 @@ type live = {
   mutable stopped : bool;  (* retired by should_stop or a barrier rule *)
 }
 
-let run ?(k = default_k) ?domains ?(round_passes = default_round_passes)
-    ?(patience_lead = default_patience_lead)
-    ?(patience_lose = default_patience_lose)
-    ?(shadow_patience = default_shadow_patience) ?(prune = true) ?passes
-    ?time_budget ?speeds ?(validate = false) dfg comm =
+let run ?(k = default_k) ?domains ?(prune = true) ?passes ?time_budget
+    ?speeds ?(validate = false) dfg comm =
   if k < 1 then invalid_arg "Portfolio.run: k must be >= 1";
-  if round_passes < 1 then
-    invalid_arg "Portfolio.run: round_passes must be >= 1";
   Obs.Trace.with_span "portfolio.run"
     ~args:[ ("graph", Csdfg.name dfg); ("k", string_of_int k) ]
   @@ fun () ->
@@ -271,10 +272,9 @@ let run ?(k = default_k) ?domains ?(round_passes = default_round_passes)
         timed_out = Atomic.get timed_out;
       }
 
-let run_on ?k ?domains ?round_passes ?patience_lead ?patience_lose
-    ?shadow_patience ?prune ?passes ?time_budget ?speeds ?validate dfg topo =
-  run ?k ?domains ?round_passes ?patience_lead ?patience_lose ?shadow_patience
-    ?prune ?passes ?time_budget ?speeds ?validate dfg (Comm.of_topology topo)
+let run_on ?k ?domains ?prune ?passes ?time_budget ?speeds ?validate dfg topo =
+  run ?k ?domains ?prune ?passes ?time_budget ?speeds ?validate dfg
+    (Comm.of_topology topo)
 
 let best t = t.winner.result.Compaction.best
 

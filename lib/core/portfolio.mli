@@ -8,16 +8,16 @@
     upward from the lower bound" loop.  [run] builds K {e searches}
     ([search 0] is the {!Compaction.run} default configuration), drives
     each as a {!Compaction.stepper}, and interleaves them in
-    barrier-synchronous rounds of [round_passes] passes executed over
-    [domains] OCaml domains.
+    barrier-synchronous rounds of 8 passes executed over [domains]
+    OCaml domains.
 
     {b Shared-bound pruning.}  One [Atomic] holds the best length found
     by any search.  It is written only at round barriers, so within a
     round every search reads the same frozen value; a search retires
     early ({e pruning} the rest of its pass budget) once it has gone
-    [patience] passes without improving its own best — [patience_lead]
-    when it is at the shared bound, the tighter [patience_lose] when it
-    is strictly worse — or as soon as it reaches its rung of the target
+    [patience] passes without improving its own best — 24 when it is at
+    the shared bound, the tighter 12 when it is strictly worse — or as
+    soon as it reaches its rung of the target
     ladder.  Because {!Compaction} only ever replaces its best-so-far
     with a {e strictly} shorter schedule, retiring a search never
     changes the best it has already published; it only forgoes possible
@@ -82,10 +82,6 @@ val searches : k:int -> lower_bound:int -> search list
 val run :
   ?k:int ->
   ?domains:int ->
-  ?round_passes:int ->
-  ?patience_lead:int ->
-  ?patience_lose:int ->
-  ?shadow_patience:int ->
   ?prune:bool ->
   ?passes:int ->
   ?time_budget:float ->
@@ -108,16 +104,11 @@ val run :
     byte-identical-winner determinism guarantee in exchange for bounded
     latency.  [validate] (default [false]) re-checks every
     intermediate schedule; the winner is always validated.
-    @raise Invalid_argument if [k < 1], [round_passes < 1], or the
-    CSDFG is illegal. *)
+    @raise Invalid_argument if [k < 1] or the CSDFG is illegal. *)
 
 val run_on :
   ?k:int ->
   ?domains:int ->
-  ?round_passes:int ->
-  ?patience_lead:int ->
-  ?patience_lose:int ->
-  ?shadow_patience:int ->
   ?prune:bool ->
   ?passes:int ->
   ?time_budget:float ->

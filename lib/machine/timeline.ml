@@ -201,16 +201,7 @@ let to_svg ?(label = default_label) ?(px_per_step = 8) ~np events =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Obs.Json.Writer.escape
 
 let to_chrome_json ?(label = default_label) ~np events =
   if np < 1 then invalid_arg "Timeline.to_chrome_json: np < 1";

@@ -211,21 +211,34 @@ module Writer = struct
         | '\r' -> Buffer.add_string b "\\r"
         | '\t' -> Buffer.add_string b "\\t"
         | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+            Buffer.add_string b "\\u00";
+            Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+            Buffer.add_char b "0123456789abcdef".[Char.code c land 15]
         | c -> Buffer.add_char b c)
       s
 
-  let add_escaped b s =
+  let clean s =
     let n = String.length s in
-    let rec clean i =
+    let rec go i =
       i >= n
       ||
       match String.unsafe_get s i with
       | '"' | '\\' -> false
       | c when Char.code c < 0x20 -> false
-      | _ -> clean (i + 1)
+      | _ -> go (i + 1)
     in
-    if clean 0 then Buffer.add_string b s else escape_slow b s
+    go 0
+
+  let add_escaped b s =
+    if clean s then Buffer.add_string b s else escape_slow b s
+
+  let escape s =
+    if clean s then s
+    else begin
+      let b = Buffer.create (String.length s + 16) in
+      escape_slow b s;
+      Buffer.contents b
+    end
 
   let add_int b n =
     if n < 0 then begin

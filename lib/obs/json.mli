@@ -53,7 +53,15 @@ module Writer : sig
       everything else as [%.17g] (round-trip precision). *)
 
   val add_escaped : Buffer.t -> string -> unit
-  (** String contents with JSON escapes, no surrounding quotes. *)
+  (** String contents with JSON escapes, no surrounding quotes: quote
+      and backslash, the short escapes for newline, carriage return and
+      tab, and a [u00XX] escape for every other byte below 0x20, so the
+      output is valid JSON whatever the input.  The one JSON string
+      escaper of the tree. *)
+
+  val escape : string -> string
+  (** {!add_escaped} as a string; returns its argument itself when
+      nothing needs escaping. *)
 
   val add_str : Buffer.t -> string -> unit
   (** ["..."] — quoted, escaped. *)

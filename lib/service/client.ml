@@ -1,23 +1,18 @@
 type t = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* bytes received beyond the last returned line *)
-  mutable last : string;
 }
 
-type error =
-  | Connect_failed of string
-  | Disconnected
-  | Bad_reply of string
+type error = Connect_failed of string | Disconnected
 
 let error_to_string = function
   | Connect_failed msg -> Printf.sprintf "cannot connect: %s" msg
   | Disconnected -> "server closed the connection"
-  | Bad_reply msg -> Printf.sprintf "malformed reply: %s" msg
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX path) with
-  | () -> Ok { fd; inbuf = Buffer.create 4096; last = "" }
+  | () -> Ok { fd; inbuf = Buffer.create 4096 }
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error
@@ -25,15 +20,15 @@ let connect path =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+(* Write [s] whole, or stop silently where the peer closed: what it
+   said before closing is still to be read. *)
 let send_all t s =
   let len = String.length s in
   let rec go off =
-    if off >= len then Ok ()
-    else
+    if off < len then
       match Unix.write_substring t.fd s off (len - off) with
       | n -> go (off + n)
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          Error Disconnected
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
   in
   go 0
 
@@ -58,25 +53,11 @@ let recv_line t =
   in
   take ()
 
+(* The reply is read even when the send stops short: the server answers
+   a line over its cap with too_large and closes before reading it all. *)
 let rpc_line t line =
-  match send_all t (line ^ "\n") with
-  | Error _ as e -> e
-  | Ok () -> (
-      match recv_line t with
-      | Error _ as e -> e
-      | Ok reply ->
-          t.last <- reply;
-          Ok reply)
-
-let rpc t ~id request =
-  match rpc_line t (Protocol.request_to_json ~id request) with
-  | Error _ as e -> e
-  | Ok line -> (
-      match Protocol.parse_reply line with
-      | Ok reply -> Ok reply
-      | Error msg -> Error (Bad_reply msg))
-
-let last_reply_line t = t.last
+  send_all t (line ^ "\n");
+  recv_line t
 
 (* Jittered exponential backoff, deterministic under [seed] so tests
    can assert the exact schedule.  Delay [i] is drawn from

@@ -12,7 +12,6 @@ type t
 type error =
   | Connect_failed of string  (** could not reach the socket — exit 2 *)
   | Disconnected  (** peer closed mid-conversation — exit 3 *)
-  | Bad_reply of string  (** unparseable reply line — exit 3 *)
 
 val error_to_string : error -> string
 
@@ -21,18 +20,9 @@ val connect : string -> (t, error) result
 
 val close : t -> unit
 
-val rpc : t -> id:int -> Protocol.request -> (Protocol.reply, error) result
-(** Send one request and block for its reply line.  The raw reply bytes
-    are kept in {!last_reply_line} so callers needing byte-level
-    fidelity (the golden test, [ccsched client --raw]) can bypass the
-    decoded form. *)
-
 val rpc_line : t -> string -> (string, error) result
-(** Send one already-serialised request line (no newline) and return
-    the raw reply line — the byte-exact path. *)
-
-val last_reply_line : t -> string
-(** The raw bytes of the most recent reply, ["" ] before any. *)
+(** Send one serialised request line (no newline) and block for the raw
+    reply line; {!Protocol.parse_reply} decodes it. *)
 
 (** {2 Transport-level retries}
 

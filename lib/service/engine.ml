@@ -1,10 +1,19 @@
 (* Request handling over the content-addressed schedule cache.
 
-   The cache entry keeps the schedule and its topology (not just the
-   reply bytes) because replan requests need them: a replan looks up
-   its parent session, derives the degraded machine with Cyclo.Degrade
-   and caches the result under its own key — so replans chain and
-   repeat replans are hits.
+   Every request line takes one pass: [prepare] parses it and, for a
+   schedule, resolves it once (graph, legality, topology, knob check,
+   cache key); [dispatch] looks the key up, computes or takes a
+   precomputed result, commits, then writes the reply, its log line and
+   its trace splice.  [handle_line] is dispatch after prepare;
+   [handle_batch] prepares every line, computes the distinct
+   cache-missing schedules in parallel, then dispatches in arrival
+   order.
+
+   A cache entry is the journal record that derives it — the reply
+   fields plus the request (or parent and fault set) behind them — and
+   the live schedule and topology a replan needs.  A journal-restored
+   entry starts without the live pair; the deterministic scheduler
+   rebuilds it the first time a replan chains on the entry.
 
    Coherence: a key (Cyclo.Cachekey) covers every input the reply
    bytes depend on, and the scheduler is deterministic, so serving a
@@ -22,33 +31,10 @@ let c_hits = Obs.Counters.counter "service.cache_hits"
 let c_misses = Obs.Counters.counter "service.cache_misses"
 let c_evictions = Obs.Counters.counter "service.cache_evictions"
 
-type replan_info = {
-  strategy : string;
-  migration_cost : int;
-  moved : int;
-  surviving : int;
-}
-
-(* Where an entry came from — enough to re-derive its schedule.  A
-   journal-restored entry has [live = None]: its reply bytes are served
-   straight from [schedule_json], and the in-memory schedule/topology
-   are only rebuilt (deterministically, so byte-identically) the first
-   time a replan chains on it. *)
-type source =
-  | Sched_of of { graph : P.graph_spec; arch : string; knobs : P.knobs }
-  | Replan_of of {
-      parent : string;
-      fail_pes : int list;  (* 1-based, as on the wire *)
-      fail_links : (int * int) list;
-    }
-
 type entry = {
   mutable live : (Schedule.t * Topology.t) option;
-  source : source;
-  schedule_json : string;  (* Export.to_json of the schedule, one line *)
-  length : int;
-  passes : int;
-  replan : replan_info option;
+      (* None for a journal-restored entry until a replan needs it *)
+  record : Statefile.record;
 }
 
 type t = {
@@ -68,78 +54,6 @@ type t = {
 }
 
 let build_id = "ccsched/1.0.0"
-
-let entry_of_record = function
-  | Statefile.Sched s ->
-      ( s.Statefile.s_key,
-        {
-          live = None;
-          source =
-            Sched_of
-              {
-                graph = s.Statefile.s_graph;
-                arch = s.Statefile.s_arch;
-                knobs = s.Statefile.s_knobs;
-              };
-          schedule_json = s.Statefile.s_schedule_json;
-          length = s.Statefile.s_length;
-          passes = s.Statefile.s_passes;
-          replan = None;
-        } )
-  | Statefile.Replan r ->
-      ( r.Statefile.r_key,
-        {
-          live = None;
-          source =
-            Replan_of
-              {
-                parent = r.Statefile.r_parent;
-                fail_pes = r.Statefile.r_fail_pes;
-                fail_links = r.Statefile.r_fail_links;
-              };
-          schedule_json = r.Statefile.r_schedule_json;
-          length = r.Statefile.r_length;
-          passes = 0;
-          replan =
-            Some
-              {
-                strategy = r.Statefile.r_strategy;
-                migration_cost = r.Statefile.r_migration_cost;
-                moved = r.Statefile.r_moved;
-                surviving = r.Statefile.r_surviving;
-              };
-        } )
-
-let record_of_entry key e =
-  match (e.source, e.replan) with
-  | Sched_of { graph; arch; knobs }, _ ->
-      Some
-        (Statefile.Sched
-           {
-             Statefile.s_key = key;
-             s_graph = graph;
-             s_arch = arch;
-             s_knobs = knobs;
-             s_length = e.length;
-             s_passes = e.passes;
-             s_schedule_json = e.schedule_json;
-           })
-  | Replan_of { parent; fail_pes; fail_links }, Some info ->
-      Some
-        (Statefile.Replan
-           {
-             Statefile.r_key = key;
-             r_parent = parent;
-             r_fail_pes = fail_pes;
-             r_fail_links = fail_links;
-             r_length = e.length;
-             r_strategy = info.strategy;
-             r_migration_cost = info.migration_cost;
-             r_moved = info.moved;
-             r_surviving = info.surviving;
-             r_schedule_json = e.schedule_json;
-           })
-  | Replan_of _, None -> None
 
 let create ?(capacity = 256) ?default_deadline_ms ?state_dir () =
   let suite = Hashtbl.create 32 in
@@ -161,8 +75,7 @@ let create ?(capacity = 256) ?default_deadline_ms ?state_dir () =
                simply refreshes its slot) *)
             List.iter
               (fun r ->
-                let key, entry = entry_of_record r in
-                Lru.add cache key entry)
+                Lru.add cache (Statefile.key r) { live = None; record = r })
               records;
             Obs.Log.emit
               ~kv:
@@ -239,15 +152,16 @@ let record_miss t =
   Obs.Counters.incr c_misses
 
 (* ------------------------------------------------------------------ *)
-(* Schedule requests                                                    *)
+(* Entries                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type prepared = {
+(* A schedule request after its one resolve. *)
+type resolved = {
   key : string;
-  graph : Csdfg.t;  (* resolved, before slow-down *)
-  p_topo : Topology.t;
-  p_spec : P.graph_spec;  (* as requested, for journalling *)
-  p_arch : string;
+  graph : Csdfg.t;  (* before slow-down *)
+  topo : Topology.t;
+  spec : P.graph_spec;  (* as requested, for the journal *)
+  arch : string;
   knobs : P.knobs;
   deadline : float option;  (* effective budget, seconds *)
 }
@@ -314,9 +228,9 @@ let resolve t ~graph ~arch (knobs : P.knobs) =
     {
       key = Cachekey.key knobs g topo;
       graph = g;
-      p_topo = topo;
-      p_spec = graph;
-      p_arch = arch;
+      topo;
+      spec = graph;
+      arch;
       knobs;
       deadline = effective_deadline t knobs.P.deadline_ms;
     }
@@ -326,190 +240,124 @@ let resolve t ~graph ~arch (knobs : P.knobs) =
    so batches may run it on any domain.  A timed-out search is an
    error, never a cache entry: partial results must not be served as if
    they were the content-addressed answer. *)
-let compute prep =
-  let k = prep.knobs in
-  let g, comm = Cachekey.instance k prep.graph prep.p_topo in
+let compact r =
+  let k = r.knobs in
+  let g, comm = Cachekey.instance k r.graph r.topo in
   match
     Compaction.run ~mode:k.P.mode ?speeds:k.P.speeds ?passes:k.P.passes
-      ?time_budget:prep.deadline g comm
+      ?time_budget:r.deadline g comm
   with
-  | r when r.Compaction.timed_out ->
-      let best_length = Schedule.length r.Compaction.best in
+  | res when res.Compaction.timed_out ->
+      let best_length = Schedule.length res.Compaction.best in
       Error
         (P.err ~best_length "deadline_exceeded"
            (Printf.sprintf
               "schedule search exceeded its deadline after %d passes \
                (best-so-far length %d)"
-              (List.length r.Compaction.trace)
+              (List.length res.Compaction.trace)
               best_length))
-  | r ->
-      let best = r.Compaction.best in
-      Ok
-        {
-          live = Some (best, prep.p_topo);
-          source =
-            Sched_of { graph = prep.p_spec; arch = prep.p_arch; knobs = k };
-          schedule_json = Cyclo.Export.to_json best;
-          length = Schedule.length best;
-          passes = List.length r.Compaction.trace;
-          replan = None;
-        }
+  | res -> Ok res
   | exception (Invalid_argument msg | Failure msg) ->
       Error (err "internal" "scheduling failed: %s" msg)
 
-let journal_records t =
-  (* oldest-first so replay reproduces the recency order; refreshing
-     each key in that order while iterating leaves the order intact *)
-  List.rev (Lru.keys t.cache)
-  |> List.filter_map (fun key ->
-         Option.bind (Lru.find t.cache key) (record_of_entry key))
+let compute r =
+  Result.map
+    (fun res ->
+      let best = res.Compaction.best in
+      {
+        live = Some (best, r.topo);
+        record =
+          Statefile.Sched
+            {
+              s_key = r.key;
+              s_graph = r.spec;
+              s_arch = r.arch;
+              s_knobs = r.knobs;
+              s_length = Schedule.length best;
+              s_passes = List.length res.Compaction.trace;
+              s_schedule_json = Cyclo.Export.to_json best;
+            };
+      })
+    (compact r)
 
-let commit t key entry =
-  let before = Lru.evictions t.cache in
-  Lru.add t.cache key entry;
-  let evicted = Lru.evictions t.cache - before in
-  if evicted > 0 then begin
-    Obs.Counters.incr ~by:evicted c_evictions;
-    if Obs.Log.enabled () then
-      Obs.Log.emit ~session:key
-        ~kv:[ ("evicted", Obs.Log.I evicted) ]
-        Obs.Log.Info "eviction"
-  end;
-  match t.statefile with
-  | None -> ()
-  | Some sf -> (
-      Option.iter (Statefile.append sf) (record_of_entry key entry);
-      (* Compaction bound: once the journal holds more appends than
-         twice the live entries (≥ 64 so small caches do not thrash),
-         evicted and superseded records dominate — rewrite it to just
-         the current entries. *)
-      if Statefile.appended sf >= max 64 (2 * Lru.length t.cache) then begin
-        let records = journal_records t in
-        Statefile.compact sf records;
-        Obs.Log.emit
-          ~kv:
-            [
-              ("journal", Obs.Log.S (Statefile.path sf));
-              ("records", Obs.Log.I (List.length records));
-            ]
-          Obs.Log.Info "serve.compact_state"
-      end)
+(* Apply a wire fault set (1-based) to a live schedule.  [failed] words
+   every failure but an expired deadline: a replan request and the
+   rebuild of a restored replan entry report them differently. *)
+let degrade ~deadline_ns ~failed (sched, topo) ~fail_pes ~fail_links =
+  let failed_pes = List.map (fun p -> p - 1) fail_pes in
+  let failed_links = List.map (fun (a, b) -> (a - 1, b - 1)) fail_links in
+  match
+    Cyclo.Degrade.replan ?time_budget:(remaining_s deadline_ns) sched topo
+      ~failed_pes ~failed_links
+  with
+  | Ok plan -> Ok plan
+  | Error msg when msg = Cyclo.Degrade.deadline_error ->
+      Error (err "deadline_exceeded" "%s" msg)
+  | Error msg -> Error (failed msg)
+  | exception (Invalid_argument msg | Failure msg) -> Error (failed msg)
 
-let scheduled_reply ~id ~key ~cached entry =
-  P.Scheduled
-    {
-      id;
-      session = key;
-      cached;
-      length = entry.length;
-      passes = entry.passes;
-      schedule_json = entry.schedule_json;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Replan requests                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let replanned_reply ~id ~key ~cached entry info =
-  P.Replanned
-    {
-      id;
-      session = key;
-      cached;
-      strategy = info.strategy;
-      migration_cost = info.migration_cost;
-      moved = info.moved;
-      length = entry.length;
-      surviving = info.surviving;
-      schedule_json = entry.schedule_json;
-    }
-
-(* Rebuild a restored entry's in-memory schedule/topology from its
-   recorded derivation.  The scheduler is deterministic, so the rebuilt
-   schedule is the one whose export bytes the entry already serves; the
-   rebuild is cached on the entry, so a replan chain is re-derived at
-   most once per restart.  [deadline_ns] caps the whole recursive
-   rebuild — it is the requesting replan's own budget. *)
+(* Rebuild a restored entry's live schedule/topology from its record.
+   The scheduler is deterministic, so the rebuilt schedule is the one
+   whose export bytes the record already serves; the rebuild is kept
+   on the entry, so a replan chain is re-derived at most once per
+   restart.  [deadline_ns] caps the whole recursive rebuild — it is the
+   requesting replan's own budget. *)
 let rec force t ~deadline_ns entry =
   match entry.live with
-  | Some lt -> Ok lt
+  | Some live -> Ok live
   | None ->
+      let ( let* ) = Result.bind in
       let result =
         if expired deadline_ns then
           Error
             (err "deadline_exceeded"
                "deadline expired while rebuilding the session's schedule")
         else
-          match entry.source with
-          | Sched_of { graph; arch; knobs } -> (
-              match resolve t ~graph ~arch knobs with
-              | Error e -> Error e
-              | Ok prep -> (
-                  match
-                    compute { prep with deadline = remaining_s deadline_ns }
-                  with
-                  | Ok { live = Some lt; _ } -> Ok lt
-                  | Ok { live = None; _ } ->
-                      Error (err "internal" "rebuild lost its schedule")
-                  | Error e -> Error e))
-          | Replan_of { parent; fail_pes; fail_links } -> (
-              match Lru.find t.cache parent with
-              | None ->
-                  Error
+          match entry.record with
+          | Statefile.Sched s ->
+              let* r = resolve t ~graph:s.s_graph ~arch:s.s_arch s.s_knobs in
+              let* res =
+                compact { r with deadline = remaining_s deadline_ns }
+              in
+              Ok (res.Compaction.best, r.topo)
+          | Statefile.Replan rp ->
+              let* parent =
+                Option.to_result
+                  ~none:
                     (err "unknown_session"
                        "parent session %s of this replan chain was evicted \
                         — re-send the original schedule request"
-                       parent)
-              | Some p -> (
-                  match force t ~deadline_ns p with
-                  | Error e -> Error e
-                  | Ok (psched, ptopo) -> (
-                      let failed_pes = List.map (fun p -> p - 1) fail_pes in
-                      let failed_links =
-                        List.map (fun (a, b) -> (a - 1, b - 1)) fail_links
-                      in
-                      match
-                        Cyclo.Degrade.replan
-                          ?time_budget:(remaining_s deadline_ns) psched ptopo
-                          ~failed_pes ~failed_links
-                      with
-                      | Ok plan ->
-                          Ok
-                            ( plan.Cyclo.Degrade.schedule,
-                              plan.Cyclo.Degrade.topology )
-                      | Error msg when msg = Cyclo.Degrade.deadline_error ->
-                          Error (err "deadline_exceeded" "%s" msg)
-                      | Error msg ->
-                          Error (err "internal" "rebuild failed: %s" msg)
-                      | exception (Invalid_argument msg | Failure msg) ->
-                          Error (err "internal" "rebuild failed: %s" msg))))
+                       rp.r_parent)
+                  (Lru.find t.cache rp.r_parent)
+              in
+              let* live = force t ~deadline_ns parent in
+              let* plan =
+                degrade ~deadline_ns
+                  ~failed:(err "internal" "rebuild failed: %s")
+                  live ~fail_pes:rp.r_fail_pes ~fail_links:rp.r_fail_links
+              in
+              Ok (plan.Cyclo.Degrade.schedule, plan.Cyclo.Degrade.topology)
       in
-      (match result with
-      | Ok lt -> entry.live <- Some lt
-      | Error _ -> ());
+      Result.iter (fun live -> entry.live <- Some live) result;
       result
 
-let replan_entry t ~deadline_ns ~session ~fail_pes ~fail_links =
+let replan t ~deadline_ns ~key ~session ~fail_pes ~fail_links =
   let ( let* ) = Result.bind in
   let* parent =
-    match Lru.find t.cache session with
-    | Some e -> Ok e
-    | None ->
-        Error
-          (err "unknown_session"
-             "no cached schedule for session %s (never created, or evicted \
-              — re-send the schedule request)"
-             session)
+    Option.to_result
+      ~none:
+        (err "unknown_session"
+           "no cached schedule for session %s (never created, or evicted \
+            — re-send the schedule request)"
+           session)
+      (Lru.find t.cache session)
   in
-  let* parent_schedule, parent_topo = force t ~deadline_ns parent in
+  let* ((_, parent_topo) as live) = force t ~deadline_ns parent in
   let np = Topology.n_processors parent_topo in
   let* () =
-    match
-      List.find_opt (fun p -> p < 1 || p > np) fail_pes
-    with
+    match List.find_opt (fun p -> p < 1 || p > np) fail_pes with
     | Some p ->
-        Error
-          (err "bad_request" "fail_pes entry %d out of range 1..%d" p np)
+        Error (err "bad_request" "fail_pes entry %d out of range 1..%d" p np)
     | None -> (
         match
           List.find_opt
@@ -524,135 +372,223 @@ let replan_entry t ~deadline_ns ~session ~fail_pes ~fail_links =
                  a b np)
         | None -> Ok ())
   in
-  let failed_pes = List.map (fun p -> p - 1) fail_pes in
-  let failed_links = List.map (fun (a, b) -> (a - 1, b - 1)) fail_links in
-  if expired deadline_ns then
-    Error (err "deadline_exceeded" "deadline expired before replanning began")
-  else
-    match
-      Cyclo.Degrade.replan
-        ?time_budget:(remaining_s deadline_ns) parent_schedule parent_topo
-        ~failed_pes ~failed_links
-    with
-    | Ok plan ->
-        let sched = plan.Cyclo.Degrade.schedule in
-        let info =
+  let* plan =
+    if expired deadline_ns then
+      Error
+        (err "deadline_exceeded" "deadline expired before replanning began")
+    else
+      degrade ~deadline_ns ~failed:(err "replan_failed" "%s") live ~fail_pes
+        ~fail_links
+  in
+  let sched = plan.Cyclo.Degrade.schedule in
+  Ok
+    {
+      live = Some (sched, plan.Cyclo.Degrade.topology);
+      record =
+        Statefile.Replan
           {
-            strategy =
+            r_key = key;
+            r_parent = session;
+            r_fail_pes = fail_pes;
+            r_fail_links = fail_links;
+            r_length = Schedule.length sched;
+            r_strategy =
               (match plan.Cyclo.Degrade.strategy with
               | Cyclo.Degrade.Patched -> "patched"
               | Cyclo.Degrade.Rebuilt -> "rebuilt");
-            migration_cost = plan.Cyclo.Degrade.migration_cost;
-            moved = List.length plan.Cyclo.Degrade.moved;
-            surviving = Array.length plan.Cyclo.Degrade.surviving;
-          }
-        in
-        Ok
-          {
-            live = Some (sched, plan.Cyclo.Degrade.topology);
-            source = Replan_of { parent = session; fail_pes; fail_links };
-            schedule_json = Cyclo.Export.to_json sched;
-            length = Schedule.length sched;
-            passes = 0;
-            replan = Some info;
-          }
-    | Error msg when msg = Cyclo.Degrade.deadline_error ->
-        Error (err "deadline_exceeded" "%s" msg)
-    | Error msg -> Error (err "replan_failed" "%s" msg)
-    | exception (Invalid_argument msg | Failure msg) ->
-        Error (err "replan_failed" "%s" msg)
+            r_migration_cost = plan.Cyclo.Degrade.migration_cost;
+            r_moved = List.length plan.Cyclo.Degrade.moved;
+            r_surviving = Array.length plan.Cyclo.Degrade.surviving;
+            r_schedule_json = Cyclo.Export.to_json sched;
+          };
+    }
+
+let journal_records t =
+  (* oldest-first so replay reproduces the recency order; refreshing
+     each key in that order while iterating leaves the order intact *)
+  List.rev (Lru.keys t.cache)
+  |> List.filter_map (fun key ->
+         Option.map (fun e -> e.record) (Lru.find t.cache key))
+
+let commit t entry =
+  let key = Statefile.key entry.record in
+  let before = Lru.evictions t.cache in
+  Lru.add t.cache key entry;
+  let evicted = Lru.evictions t.cache - before in
+  if evicted > 0 then begin
+    Obs.Counters.incr ~by:evicted c_evictions;
+    if Obs.Log.enabled () then
+      Obs.Log.emit ~session:key
+        ~kv:[ ("evicted", Obs.Log.I evicted) ]
+        Obs.Log.Info "eviction"
+  end;
+  match t.statefile with
+  | None -> ()
+  | Some sf ->
+      Statefile.append sf entry.record;
+      (* Compaction bound: once the journal holds more appends than
+         twice the live entries (≥ 64 so small caches do not thrash),
+         evicted and superseded records dominate — rewrite it to just
+         the current entries. *)
+      if Statefile.appended sf >= max 64 (2 * Lru.length t.cache) then begin
+        let records = journal_records t in
+        Statefile.compact sf records;
+        Obs.Log.emit
+          ~kv:
+            [
+              ("journal", Obs.Log.S (Statefile.path sf));
+              ("records", Obs.Log.I (List.length records));
+            ]
+          Obs.Log.Info "serve.compact_state"
+      end
+
+(* The reply an entry renders, straight from its record.  Serving a
+   replan also makes its strategy the one [health] reports. *)
+let reply_of t ~id ~cached entry =
+  match entry.record with
+  | Statefile.Sched s ->
+      P.Scheduled
+        {
+          id;
+          session = s.s_key;
+          cached;
+          length = s.s_length;
+          passes = s.s_passes;
+          schedule_json = s.s_schedule_json;
+        }
+  | Statefile.Replan r ->
+      t.last_replan <- r.r_strategy;
+      P.Replanned
+        {
+          id;
+          session = r.r_key;
+          cached;
+          strategy = r.r_strategy;
+          migration_cost = r.r_migration_cost;
+          moved = r.r_moved;
+          length = r.r_length;
+          surviving = r.r_surviving;
+          schedule_json = r.r_schedule_json;
+        }
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch                                                             *)
+(* Prepare and dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [precomputed] carries batch-parallel compute results keyed by cache
-   key; each is consumed (committed + counted as the miss) by the first
-   request that needs it, so later identical requests in the same batch
-   hit the cache exactly as they would sequentially.
+type op =
+  | Schedule of resolved
+  | Replan of {
+      session : string;
+      fail_pes : int list;
+      fail_links : (int * int) list;
+      deadline_ms : int option;
+    }
+  | Stats
+  | Metrics
+  | Health
+  | Shutdown
 
-   [spans] opts into the "trace":true span breakdown: each major stage
-   is timed and pushed onto the ref (reverse order; handle_line_with
-   reverses and appends the export span).  With [spans = None] no clock
-   is read here, so untraced requests pay nothing. *)
-let handle_with ?precomputed ?spans t ~id request =
-  t.requests <- t.requests + 1;
-  Obs.Counters.incr c_requests;
-  let tick name f =
-    match spans with
-    | None -> f ()
-    | Some r ->
-        let t0 = Obs.Trace.now_ns () in
-        let x = f () in
-        r := (name, Obs.Trace.now_ns () - t0) :: !r;
-        x
-  in
-  match request with
-  | P.Stats -> P.Stats_reply { id; stats = stats t }
-  | P.Metrics ->
-      P.Metrics_reply
-        { id; body = tick "render" (fun () -> Obs.Exposition.render ()) }
-  | P.Health -> P.Health_reply { id; health = health t }
-  | P.Shutdown -> P.Shutdown_ack { id }
-  | P.Schedule { graph; arch; knobs } -> (
-      match tick "resolve" (fun () -> resolve t ~graph ~arch knobs) with
-      | Error e -> P.Error_reply { id = Some id; err = e }
-      | Ok prep -> (
-          match
-            tick "cache_lookup" (fun () -> Lru.find t.cache prep.key)
-          with
-          | Some entry ->
-              record_hit t;
-              scheduled_reply ~id ~key:prep.key ~cached:true entry
-          | None -> (
-              let computed =
-                match
-                  Option.bind precomputed (fun tbl ->
-                      let r = Hashtbl.find_opt tbl prep.key in
-                      Hashtbl.remove tbl prep.key;
-                      r)
-                with
-                | Some r -> r
-                | None -> tick "compaction" (fun () -> compute prep)
-              in
-              record_miss t;
-              match computed with
-              | Ok entry ->
-                  commit t prep.key entry;
-                  scheduled_reply ~id ~key:prep.key ~cached:false entry
-              | Error e -> P.Error_reply { id = Some id; err = e })))
-  | P.Replan { session; fail_pes; fail_links; deadline_ms } -> (
-      let key = Cachekey.replan_digest ~parent:session ~failed_pes:fail_pes
+(* A request line after its one parse and, for a schedule, its one
+   resolve.  A line that fails either is answered with [Error]. *)
+type prepared = {
+  t0 : int;  (* clock at the start of the prepare *)
+  spans : (string * int) list ref option;
+      (* a "trace":true line's spans so far, newest first *)
+  parsed : (int * op, int option * P.err) result;
+}
+
+(* Time [f] as span [name] of a traced line; an untraced one reads no
+   clock here. *)
+let tick spans name f =
+  match spans with
+  | None -> f ()
+  | Some r ->
+      let t0 = Obs.Trace.now_ns () in
+      let x = f () in
+      r := (name, Obs.Trace.now_ns () - t0) :: !r;
+      x
+
+let prepare t line =
+  let t0 = Obs.Trace.now_ns () in
+  match P.parse_request line with
+  | Error e -> { t0; spans = None; parsed = Error e }
+  | Ok (id, request, traced) ->
+      let spans =
+        if traced then Some (ref [ ("parse", Obs.Trace.now_ns () - t0) ])
+        else None
+      in
+      let parsed =
+        match request with
+        | P.Schedule { graph; arch; knobs } -> (
+            match
+              tick spans "resolve" (fun () -> resolve t ~graph ~arch knobs)
+            with
+            | Ok r -> Ok (id, Schedule r)
+            | Error e -> Error (Some id, e))
+        | P.Replan { session; fail_pes; fail_links; deadline_ms } ->
+            Ok (id, Replan { session; fail_pes; fail_links; deadline_ms })
+        | P.Stats -> Ok (id, Stats)
+        | P.Metrics -> Ok (id, Metrics)
+        | P.Health -> Ok (id, Health)
+        | P.Shutdown -> Ok (id, Shutdown)
+      in
+      { t0; spans; parsed }
+
+(* A cache miss is computed here unless [precomputed] (the batch's
+   parallel results, by key) holds it; each precomputed result is
+   consumed — committed and counted as the miss — by the first line
+   that needs it, so later identical lines hit the cache exactly as
+   they would sequentially. *)
+let answer ?precomputed t ~spans ~id = function
+  | Stats -> P.Stats_reply { id; stats = stats t }
+  | Metrics ->
+      P.Metrics_reply { id; body = tick spans "render" Obs.Exposition.render }
+  | Health -> P.Health_reply { id; health = health t }
+  | Shutdown -> P.Shutdown_ack { id }
+  | Schedule r -> (
+      match tick spans "cache_lookup" (fun () -> Lru.find t.cache r.key) with
+      | Some entry ->
+          record_hit t;
+          reply_of t ~id ~cached:true entry
+      | None -> (
+          let computed =
+            match
+              Option.bind precomputed (fun tbl ->
+                  let c = Hashtbl.find_opt tbl r.key in
+                  Hashtbl.remove tbl r.key;
+                  c)
+            with
+            | Some c -> c
+            | None -> tick spans "compaction" (fun () -> compute r)
+          in
+          record_miss t;
+          match computed with
+          | Ok entry ->
+              commit t entry;
+              reply_of t ~id ~cached:false entry
+          | Error e -> P.Error_reply { id = Some id; err = e }))
+  | Replan { session; fail_pes; fail_links; deadline_ms } -> (
+      let key =
+        Cachekey.replan_digest ~parent:session ~failed_pes:fail_pes
           ~failed_links:fail_links
       in
-      match tick "cache_lookup" (fun () -> Lru.find t.cache key) with
-      | Some ({ replan = Some info; _ } as entry) ->
+      match tick spans "cache_lookup" (fun () -> Lru.find t.cache key) with
+      | Some entry ->
           record_hit t;
-          t.last_replan <- info.strategy;
-          replanned_reply ~id ~key ~cached:true entry info
-      | Some { replan = None; _ } | None -> (
-          let deadline_ns =
-            deadline_ns_of (effective_deadline t deadline_ms)
-          in
+          reply_of t ~id ~cached:true entry
+      | None -> (
+          let deadline_ns = deadline_ns_of (effective_deadline t deadline_ms) in
           match
-            tick "replan" (fun () ->
-                replan_entry t ~deadline_ns ~session ~fail_pes ~fail_links)
+            tick spans "replan" (fun () ->
+                replan t ~deadline_ns ~key ~session ~fail_pes ~fail_links)
           with
-          | Ok ({ replan = Some info; _ } as entry) ->
+          | Ok entry ->
               record_miss t;
-              commit t key entry;
-              t.last_replan <- info.strategy;
-              replanned_reply ~id ~key ~cached:false entry info
-          | Ok { replan = None; _ } ->
-              P.Error_reply
-                { id = Some id; err = err "internal" "replan lost its plan" }
+              commit t entry;
+              reply_of t ~id ~cached:false entry
           | Error e ->
               t.last_replan <- "failed";
               P.Error_reply { id = Some id; err = e }))
-
-let handle t ~id request = handle_with t ~id request
-
-let continue_of_request = function P.Shutdown -> `Shutdown | _ -> `Continue
 
 (* One NDJSON log line per request/reply.  Guarded on [Log.enabled] so
    the kv lists are never allocated while logging is off. *)
@@ -705,66 +641,73 @@ let log_reply ~t0 ?request_id reply =
           L.Warn event
   end
 
-let handle_line_with ?precomputed t line =
-  let t0 = Obs.Trace.now_ns () in
-  match P.parse_request line with
-  | Error (id, e) ->
-      t.requests <- t.requests + 1;
-      Obs.Counters.incr c_requests;
-      let reply = P.Error_reply { id; err = e } in
-      let out = P.reply_to_json reply in
-      log_reply ~t0 ?request_id:id reply;
-      (out, `Continue)
-  | Ok (id, request, false) ->
-      let reply = handle_with ?precomputed t ~id request in
-      let out = P.reply_to_json reply in
-      log_reply ~t0 ~request_id:id reply;
-      (out, continue_of_request request)
-  | Ok (id, request, true) ->
-      (* Traced: the reply bytes are the untraced serialisation with the
-         span list spliced in front of the closing brace — byte-identical
-         modulo the trailing "trace" field (pinned in test_service.ml). *)
-      let spans = ref [ ("parse", Obs.Trace.now_ns () - t0) ] in
-      let reply = handle_with ?precomputed ~spans t ~id request in
-      let e0 = Obs.Trace.now_ns () in
-      let base = P.reply_to_json reply in
-      let export_ns = Obs.Trace.now_ns () - e0 in
-      let out = P.with_trace base (List.rev (("export", export_ns) :: !spans)) in
-      log_reply ~t0 ~request_id:id reply;
-      (out, continue_of_request request)
+(* [start] is when the line's own work began, as if its prepare had
+   run just before this dispatch: log [duration_ns] covers the two. *)
+let dispatch ?precomputed t ~start p =
+  t.requests <- t.requests + 1;
+  Obs.Counters.incr c_requests;
+  let request_id, reply, continue =
+    match p.parsed with
+    | Error (id, e) -> (id, P.Error_reply { id; err = e }, `Continue)
+    | Ok (id, op) ->
+        ( Some id,
+          answer ?precomputed t ~spans:p.spans ~id op,
+          match op with Shutdown -> `Shutdown | _ -> `Continue )
+  in
+  let out =
+    match p.spans with
+    | None -> P.reply_to_json reply
+    | Some spans ->
+        (* Traced: the untraced serialisation with the span list spliced
+           in front of the closing brace — byte-identical modulo the
+           trailing "trace" field (pinned in test_service.ml). *)
+        let e0 = Obs.Trace.now_ns () in
+        let base = P.reply_to_json reply in
+        let export = ("export", Obs.Trace.now_ns () - e0) in
+        P.with_trace base (List.rev (export :: !spans))
+  in
+  log_reply ~t0:start ?request_id reply;
+  (out, continue)
 
-let handle_line t line = handle_line_with t line
+let handle_line t line =
+  let p = prepare t line in
+  dispatch t ~start:p.t0 p
 
 let handle_batch ?domains t lines =
-  (* Phase 1: resolve every line and collect the distinct schedule keys
-     that miss the cache right now; compute those in parallel.  Replans
-     stay sequential in phase 2 — they may chain on schedule sessions
-     committed earlier in the same batch, and their patch/rebuild cost
-     is a fraction of a compaction search. *)
-  let jobs = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun line ->
-      match P.parse_request line with
-      (* traced lines are excluded so their compaction span is measured
-         for real in phase 2, not reduced to a table lookup *)
-      | Ok (_, P.Schedule { graph; arch; knobs }, false) -> (
-          match resolve t ~graph ~arch knobs with
-          | Ok prep
-            when (not (Lru.mem t.cache prep.key))
-                 && not (Hashtbl.mem jobs prep.key) ->
-              Hashtbl.add jobs prep.key prep;
-              order := prep.key :: !order
-          | Ok _ | Error _ -> ())
-      | Ok _ | Error _ -> ())
-    lines;
-  let keys = List.rev !order in
-  let precomputed = Hashtbl.create (List.length keys) in
-  List.combine keys
-    (Parutil.Parallel.map ?domains
-       (fun key -> compute (Hashtbl.find jobs key))
-       keys)
-  |> List.iter (fun (key, result) -> Hashtbl.add precomputed key result);
-  (* Phase 2: sequential dispatch in request order — byte-identical to
-     handle_line on each line in turn. *)
-  List.map (fun line -> handle_line_with ~precomputed t line) lines
+  let logging = Obs.Log.enabled () in
+  let prepared =
+    List.map
+      (fun line ->
+        let p = prepare t line in
+        (p, if logging then Obs.Trace.now_ns () - p.t0 else 0))
+      lines
+  in
+  (* The distinct schedule keys that miss the cache now, in arrival
+     order, computed in parallel.  Traced lines are left out so their
+     compaction span measures the search itself.  Replans stay
+     sequential — they may chain on sessions committed earlier in the
+     batch, and cost a fraction of a compaction search. *)
+  let seen = Hashtbl.create 8 in
+  let misses =
+    List.filter_map
+      (fun (p, _) ->
+        match p with
+        | { spans = None; parsed = Ok (_, Schedule r); _ }
+          when not (Lru.mem t.cache r.key || Hashtbl.mem seen r.key) ->
+            Hashtbl.add seen r.key ();
+            Some r
+        | _ -> None)
+      prepared
+  in
+  let precomputed = Hashtbl.create (List.length misses) in
+  List.iter2
+    (fun r c -> Hashtbl.add precomputed r.key c)
+    misses
+    (Parutil.Parallel.map ?domains compute misses);
+  (* In-order dispatch: byte-identical to handle_line on each line in
+     turn. *)
+  List.map
+    (fun (p, prep_ns) ->
+      let start = if logging then Obs.Trace.now_ns () - prep_ns else p.t0 in
+      dispatch ~precomputed t ~start p)
+    prepared

@@ -53,20 +53,20 @@ val close : t -> unit
 (** Release the warm-restart journal's file handle (a no-op without
     [state_dir]).  The engine must not be used afterwards. *)
 
-val handle : t -> id:int -> Protocol.request -> Protocol.reply
-(** Answer one request.  Never raises: every failure mode becomes an
-    [Error_reply].  A [Shutdown] request is acknowledged but acting on
-    it is the caller's job. *)
-
 val handle_line : t -> string -> string * [ `Continue | `Shutdown ]
-(** Parse one request line, handle it, serialise the reply (no trailing
-    newline).  [`Shutdown] flags an acknowledged shutdown request. *)
+(** Answer one request line: parse it (and resolve a schedule request)
+    once, then look up, compute and commit, and serialise the reply (no
+    trailing newline).  Never raises: every failure mode becomes an
+    error reply.  [`Shutdown] flags an acknowledged shutdown request;
+    acting on it is the caller's job.  This is the sequential reference
+    {!handle_batch} must match. *)
 
 val handle_batch :
   ?domains:int -> t -> string list -> (string * [ `Continue | `Shutdown ]) list
-(** {!handle_line} over a batch, with all cache-missing schedule
-    computations run in parallel over [domains] (default: all cores).
-    Replies are returned in request order and are byte-identical to the
+(** {!handle_line} over a batch: every line is parsed and resolved
+    once, the distinct cache-missing untraced schedule computations run
+    in parallel over [domains] (default: all cores), then the lines are
+    answered in request order.  Replies are byte-identical to the
     sequential ones. *)
 
 val stats : t -> Protocol.stats

@@ -101,25 +101,7 @@ type reply =
   | Shutdown_ack of { id : int }
   | Error_reply of { id : int option; err : err }
 
-(* ------------------------------------------------------------------ *)
-(* Escaping                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Json.Writer.escape
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                      *)
@@ -498,9 +480,9 @@ let parse_reply line =
   | Some (Json.Bool true) -> (
       let* id = require "id" (int "id") in
       let* op = require "op" (str "op") in
-      (* the raw schedule object is re-serialised from the parsed JSON
-         only for classification; clients that need the exact one-shot
-         bytes slice them out of the line (see Client.schedule_field) *)
+      (* the schedule object is only checked for presence: a client
+         that needs its exact one-shot bytes slices them out of the
+         raw reply line *)
       match op with
       | "schedule" ->
           let* session = require "session" (str "session") in
@@ -601,13 +583,3 @@ let parse_reply line =
       | "shutdown" -> Ok (Shutdown_ack { id })
       | op -> Error (Printf.sprintf "unknown op %S in reply" op))
   | _ -> Error "reply is missing \"ok\""
-
-let reply_id = function
-  | Scheduled { id; _ }
-  | Replanned { id; _ }
-  | Stats_reply { id; _ }
-  | Metrics_reply { id; _ }
-  | Health_reply { id; _ }
-  | Shutdown_ack { id } ->
-      Some id
-  | Error_reply { id; _ } -> id

@@ -62,7 +62,7 @@ type err = {
 (** [code] is one of the stable machine-readable identifiers documented
     in [docs/service.md]: [parse], [version], [bad_request],
     [bad_graph], [unknown_session], [replan_failed],
-    [deadline_exceeded], [overloaded], [internal].  The two hint fields
+    [deadline_exceeded], [overloaded], [too_large], [internal].  The two hint fields
     are additive ccsched-rpc/1 extensions serialised only when set, so
     every pre-existing error reply keeps its exact bytes. *)
 
@@ -164,10 +164,5 @@ val with_trace : string -> (string * int) list -> string
 val parse_reply : string -> (reply, string) result
 (** Client-side reply decoding.  Never raises. *)
 
-val reply_id : reply -> int option
-(** The echoed request id, [None] for an error reply to an unparseable
-    request. *)
-
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (quotes,
-    backslashes, control characters incl. newlines). *)
+(** {!Obs.Json.Writer.escape}: the tree's one JSON string escaper. *)

@@ -36,17 +36,35 @@ let default_config ~socket_path =
   }
 
 (* One connected client.  [inbuf] accumulates bytes until a newline
-   completes a request; [out] holds reply bytes not yet accepted by the
-   socket.  Requests must be newline-terminated: an unterminated tail at
-   EOF is discarded, not parsed.  [last_progress] is the wall clock of
-   the last successful write — the slow-client detector's evidence. *)
+   completes a request; its first [scanned] bytes hold none.  [out]
+   holds reply bytes not yet accepted by the socket.  Requests must be
+   newline-terminated: an unterminated tail at EOF is discarded, not
+   parsed.  [refused] marks a line over [max_line]; [eof] ends reading.
+   [last_progress] is the wall clock of the last successful write — the
+   slow-client detector's evidence. *)
 type client = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
+  mutable scanned : int;
   mutable out : string;
   mutable eof : bool;
+  mutable refused : bool;
   mutable last_progress : float;
 }
+
+(* The longest request line, about 2.7x the 6.2 MB JSON-escaped text of
+   scale:100000, the largest graph the repository builds. *)
+let max_line = 16 lsl 20
+
+let too_large =
+  P.reply_to_json
+    (P.Error_reply
+       {
+         id = None;
+         err =
+           P.err "too_large"
+             (Printf.sprintf "request line exceeds %d bytes" max_line);
+       })
 
 let chunk = Bytes.create 65536
 
@@ -58,15 +76,35 @@ let rec split_at n = function
       let first, rest = split_at (n - 1) tl in
       (x :: first, rest)
 
-(* Pop every complete line out of [c.inbuf]. *)
+(* Pop the complete lines out of [c.inbuf], scanning only the bytes
+   that arrived since the last call.  At a line over [max_line],
+   finished or not, the client is refused: the lines before it are
+   served, it and everything after it stay unread.  A client at EOF
+   has none left: its lines were taken in the iteration they arrived,
+   and a refused client is refused once. *)
 let take_lines c =
-  let s = Buffer.contents c.inbuf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear c.inbuf;
-      Buffer.add_substring c.inbuf s (last + 1) (String.length s - last - 1);
-      String.split_on_char '\n' (String.sub s 0 last)
+  let b = c.inbuf in
+  let n = Buffer.length b in
+  let rec split lines start i =
+    if i >= n || i - start > max_line then (lines, start)
+    else if Buffer.nth b i <> '\n' then split lines start (i + 1)
+    else split (Buffer.sub b start (i - start) :: lines) (i + 1) (i + 1)
+  in
+  if c.eof then []
+  else begin
+    let lines, start = split [] 0 c.scanned in
+    if start > 0 then begin
+      let rest = Buffer.sub b start (n - start) in
+      Buffer.clear b;
+      Buffer.add_string b rest
+    end;
+    c.scanned <- n - start;
+    if n - start > max_line then begin
+      c.refused <- true;
+      c.eof <- true
+    end;
+    List.rev lines
+  end
 
 let read_into c =
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
@@ -203,7 +241,10 @@ let run ?(on_ready = fun () -> ()) cfg =
             Obs.Log.Info "serve.start";
           while (not !stopping) && not (Atomic.get signalled) do
             let rds =
-              listen_fd :: List.map (fun c -> c.fd) !clients
+              listen_fd
+              :: List.filter_map
+                   (fun c -> if c.eof then None else Some c.fd)
+                   !clients
             in
             let wrs =
               List.filter_map
@@ -238,8 +279,10 @@ let run ?(on_ready = fun () -> ()) cfg =
                           {
                             fd;
                             inbuf = Buffer.create 256;
+                            scanned = 0;
                             out = "";
                             eof = false;
+                            refused = false;
                             last_progress = Unix.gettimeofday ();
                           };
                         ]
@@ -321,8 +364,18 @@ let run ?(on_ready = fun () -> ()) cfg =
                   if continue = `Shutdown then stopping := true)
                 batch replies
             end;
+            (* A refused client's too_large reply follows the replies to
+               its earlier lines; the connection closes once it is out. *)
+            List.iter
+              (fun c ->
+                if c.refused then begin
+                  c.refused <- false;
+                  c.out <- c.out ^ too_large ^ "\n"
+                end)
+              !clients;
             (* Push replies out; disconnect peers that have not accepted
-               a byte in [write_timeout]; drop finished clients. *)
+               a byte in [write_timeout], whether or not they are still
+               sending; drop finished clients. *)
             List.iter
               (fun c ->
                 if List.mem c.fd writable || c.out <> "" then flush_some c)
@@ -331,8 +384,7 @@ let run ?(on_ready = fun () -> ()) cfg =
             List.iter
               (fun c ->
                 if
-                  c.out <> "" && (not c.eof)
-                  && now -. c.last_progress > cfg.write_timeout
+                  c.out <> "" && now -. c.last_progress > cfg.write_timeout
                 then begin
                   Obs.Counters.incr c_slow;
                   Obs.Log.emit

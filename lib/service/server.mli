@@ -19,8 +19,8 @@
       clients back off proportionally to actual load.
     - {b Slow-client disconnect}: a peer that has pending reply bytes
       but has not accepted a single byte for [write_timeout] seconds is
-      dropped, so one stalled reader cannot pin buffers or delay
-      shutdown.
+      dropped, whether or not it is still sending, so one stalled
+      reader cannot pin buffers or delay shutdown.
     - {b Graceful signals}: with [handle_signals], SIGTERM/SIGINT set a
       flag checked each iteration; the loop then drains and exits as if
       a [shutdown] request had arrived.  Off by default because signal
@@ -30,6 +30,12 @@
       cached sessions byte-identically (as [cached:true] hits).
     - {b Bounded drain}: the shutdown drain of each client is capped by
       [drain_timeout] wall-clock seconds.
+    - {b Bounded lines}: a request line over {!max_line} bytes, finished
+      or not, gets one typed [too_large] reply (["id":null]) after the
+      replies to the client's earlier lines; nothing more is read from
+      the connection, which closes once its replies are out;
+      each read is scanned for newlines once, so intake is linear in
+      the bytes received.
 
     Instrumented through the observability layer when enabled:
     [service.queue_depth] (gauge: lines taken per loop iteration),
@@ -38,7 +44,8 @@
     nanoseconds between intake and dispatch), [service.shed_requests],
     [service.slow_clients], [service.rejected_clients] (accepts refused
     at [max_clients]) and [service.discarded_partial] (clients that
-    hung up leaving an unterminated request tail), plus the {!Engine}
+    hung up leaving an unterminated request tail, or were refused a
+    line over {!max_line}), plus the {!Engine}
     counters.  With [Obs.Log] enabled the lifecycle is logged too:
     [serve.start]/[serve.stop], [serve.shed], [serve.signal],
     [client.connect]/[client.disconnect], [client.rejected],
@@ -65,6 +72,9 @@ type config = {
       (** install SIGTERM/SIGINT handlers that trigger a graceful
           drain — process-global, so off by default *)
 }
+
+val max_line : int
+(** 16 MiB: the longest request line the daemon reads. *)
 
 val default_config : socket_path:string -> config
 (** capacity 256, domains [None], max_clients 64, max_queue 1024,

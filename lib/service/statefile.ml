@@ -7,8 +7,8 @@
    defaults, "mode":"relax", "transport":"store-and-forward" and
    "slowdown":1), and the embedded schedule object round-trips
    byte-exactly: it is stored as an escaped JSON *string*, and
-   Obs.Json's unescape is the exact inverse of Protocol.json_escape for
-   the bytes the exporter produces. *)
+   Obs.Json's unescape is the exact inverse of Obs.Json.Writer's escape
+   for the bytes the exporter produces. *)
 
 module P = Protocol
 module Json = Obs.Json
@@ -37,6 +37,8 @@ type replan_record = {
 }
 
 type record = Sched of sched_record | Replan of replan_record
+
+let key = function Sched s -> s.s_key | Replan r -> r.r_key
 
 let magic = "ccsched-state/1\n"
 
@@ -82,7 +84,11 @@ let crc32 s =
 
 let encode_payload r =
   let buf = Buffer.create 512 in
-  let str k v = Printf.bprintf buf ",\"%s\":\"%s\"" k (P.json_escape v) in
+  let str k v =
+    Printf.bprintf buf ",\"%s\":\"" k;
+    Json.Writer.add_escaped buf v;
+    Buffer.add_char buf '"'
+  in
   let int k v = Printf.bprintf buf ",\"%s\":%d" k v in
   (match r with
   | Sched s ->
@@ -202,14 +208,22 @@ let decode_payload payload =
   | Some t -> Error (Printf.sprintf "unknown record type %S" t)
   | None -> Error "record is missing \"t\""
 
-let encode_record r =
-  let payload = encode_payload r in
+let frame payload =
   let len = String.length payload in
   let b = Bytes.create (8 + len) in
   Bytes.set_int32_be b 0 (Int32.of_int len);
   Bytes.set_int32_be b 4 (crc32 payload);
   Bytes.blit_string payload 0 b 8 len;
   Bytes.unsafe_to_string b
+
+let encode_record r = frame (encode_payload r)
+
+(* Replay stops at a payload over [max_payload] and truncates it with
+   every later record, so such a record is never written: its entry
+   serves from memory only. *)
+let replayable r =
+  let payload = encode_payload r in
+  if String.length payload > max_payload then None else Some (frame payload)
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                               *)
@@ -316,10 +330,10 @@ let open_ ~dir =
       Error (Printf.sprintf "%s: %s" dir (Unix.error_message e))
 
 let append t r =
-  match t.fd with
-  | None -> ()
-  | Some fd -> (
-      match write_all fd (encode_record r) with
+  match (t.fd, replayable r) with
+  | None, _ | _, None -> ()
+  | Some fd, Some bytes -> (
+      match write_all fd bytes with
       | () -> t.n_appended <- t.n_appended + 1
       | exception Unix.Unix_error _ ->
           (* a failing disk must not fail requests: degrade to the
@@ -339,7 +353,9 @@ let compact t records =
       | tmp_fd -> (
           match
             write_all tmp_fd magic;
-            List.iter (fun r -> write_all tmp_fd (encode_record r)) records;
+            List.iter
+              (fun r -> Option.iter (write_all tmp_fd) (replayable r))
+              records;
             Unix.fsync tmp_fd;
             Unix.close tmp_fd;
             Unix.rename tmp t.file

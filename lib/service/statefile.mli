@@ -49,6 +49,9 @@ type replan_record = {
 
 type record = Sched of sched_record | Replan of replan_record
 
+val key : record -> string
+(** The record's cache key: [s_key] or [r_key]. *)
+
 type t
 
 val open_ : dir:string -> (t * record list * int, string) result
@@ -62,7 +65,10 @@ val open_ : dir:string -> (t * record list * int, string) result
 val append : t -> record -> unit
 (** Append one framed record.  Write errors (disk full, etc.) disable
     the journal for the rest of the run rather than failing the
-    request: the daemon degrades to the no-[--state] behaviour. *)
+    request: the daemon degrades to the no-[--state] behaviour.  A
+    record whose payload is over the 64 MiB bound that replay enforces
+    is skipped, since replay would truncate it and every later record;
+    {!compact} skips it too. *)
 
 val appended : t -> int
 (** Records appended (not replayed) since {!open_} or the last

@@ -1323,6 +1323,317 @@ let test_retry_passes_through_typed_errors () =
   | Error e -> Alcotest.fail (Service.Client.error_to_string e));
   Service.Client.retrying_close r
 
+(* {2 Bounded lines and records} *)
+
+(* A raw connection with both socket timeouts set: a daemon that stops
+   reading, or never replies, must fail the test, not hang it. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+  fd
+
+(* Write [s] until it is all sent ([`Sent]), the daemon closes the
+   connection ([`Closed]) or stops taking bytes ([`Stalled]). *)
+let raw_send fd s =
+  let rec go off =
+    if off >= String.length s then `Sent
+    else
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+          `Closed
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          `Stalled
+  in
+  go 0
+
+(* Everything the daemon sends, and whether it then closed the
+   connection (false when the receive timeout came first). *)
+let raw_drain fd =
+  let buf = Buffer.create 512 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> true
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        false
+  in
+  let closed = go () in
+  (Buffer.contents buf, closed)
+
+(* A second client is served, and stops the daemon whatever happened
+   before, so a failed check cannot leave the server domain running. *)
+let serve_second_and_stop path =
+  let c = connect_exn path in
+  let second = rpc_exn c (sched_line ~id:2 "fig7" "ring:4") in
+  ignore (rpc_exn c (P.request_to_json ~id:3 P.Shutdown));
+  Service.Client.close c;
+  match P.parse_reply second with
+  | Ok (P.Scheduled _) -> ()
+  | _ -> Alcotest.fail "a second client is still served"
+
+let check_too_large refused =
+  check_bool "id is null" true (contains refused "\"id\":null");
+  match P.parse_reply refused with
+  | Ok (P.Error_reply { id = None; err }) ->
+      check_str "typed refusal" "too_large" err.P.code
+  | _ -> Alcotest.fail "expected a too_large error reply"
+
+(* A line over the cap, never finished, gets a typed too_large reply
+   and a closed connection; the daemon keeps serving other clients. *)
+let test_socket_line_cap () =
+  with_server @@ fun path ->
+  let fd = raw_connect path in
+  ignore (raw_send fd (P.request_to_json ~id:1 P.Stats ^ "\n"));
+  ignore (raw_send fd (String.make (Service.Server.max_line + 1) 'x'));
+  let out, closed = raw_drain fd in
+  Unix.close fd;
+  serve_second_and_stop path;
+  check_bool "the connection closed" true closed;
+  match String.split_on_char '\n' out with
+  | [ stats; refused; "" ] ->
+      (match P.parse_reply stats with
+      | Ok (P.Stats_reply { id = 1; _ }) -> ()
+      | _ -> Alcotest.fail "the line before the long one is answered first");
+      check_too_large refused
+  | lines ->
+      Alcotest.fail
+        (Printf.sprintf "expected two replies then EOF, got %d lines"
+           (List.length lines))
+
+(* About 1 MiB of pipelined schedule requests, whose replies the socket
+   cannot hold while the client is not reading, and the request line
+   they all answer. *)
+let pipelined_requests () =
+  let line = sched_line ~id:1 "fig7" "mesh:2x4" in
+  let reply, _ = Engine.handle_line (Engine.create ()) line in
+  let n = ((1 lsl 20) / (String.length reply + 1)) + 1 in
+  (n, String.concat "" (List.init n (fun _ -> line ^ "\n")))
+
+(* A pipelining client refused while the daemon still holds replies it
+   has not read gets exactly one too_large, after those replies, and
+   then EOF.  It keeps sending the long line from a second domain; the
+   first reads only after the daemon has held its output a while. *)
+let test_socket_refused_once () =
+  with_server @@ fun path ->
+  let n, requests = pipelined_requests () in
+  let fd = raw_connect path in
+  let sender =
+    Domain.spawn (fun () ->
+        ignore (raw_send fd requests);
+        raw_send fd (String.make (Service.Server.max_line + (1 lsl 20)) 'x'))
+  in
+  Unix.sleepf 1.;
+  let out, closed = raw_drain fd in
+  let sent = Domain.join sender in
+  Unix.close fd;
+  serve_second_and_stop path;
+  check_bool "the connection closed" true closed;
+  check_bool "the daemon stopped reading, then closed" true (sent = `Closed);
+  let lines = String.split_on_char '\n' out in
+  check "replies, one refusal, EOF" (n + 2) (List.length lines);
+  List.iteri
+    (fun i line ->
+      if i < n then
+        match P.parse_reply line with
+        | Ok (P.Scheduled _) -> ()
+        | _ -> Alcotest.fail (Printf.sprintf "reply %d is not a schedule" i)
+      else if i = n then check_too_large line
+      else check_str "nothing after the refusal" "" line)
+    lines
+
+(* A refused client that never reads its replies, blocked writing the
+   rest of its line, is dropped after the write timeout. *)
+let test_socket_refused_stalled () =
+  with_server ~config:(fun c -> { c with Service.Server.write_timeout = 1. })
+  @@ fun path ->
+  let _, requests = pipelined_requests () in
+  let fd = raw_connect path in
+  ignore (raw_send fd requests);
+  let sent =
+    raw_send fd (String.make (Service.Server.max_line + (1 lsl 20)) 'x')
+  in
+  Unix.close fd;
+  serve_second_and_stop path;
+  check_bool "the daemon closed the stalled connection" true (sent = `Closed)
+
+(* Replay rejects a payload over 64 MiB, and truncates every record after
+   it: the journal never writes one, and the next record survives. *)
+let test_statefile_skips_unreplayable_record () =
+  with_state_dir @@ fun dir ->
+  let sched, replan =
+    match sample_records () with
+    | [ s; r ] -> (s, r)
+    | _ -> Alcotest.fail "two sample records"
+  in
+  (* each 0x01 byte is escaped to six, so this graph text is 64 MiB + *)
+  let huge =
+    Statefile.Sched
+      {
+        Statefile.s_key = "00000000000000000000000000000000";
+        s_graph = P.Inline (String.make (((1 lsl 26) / 6) + 1024) '\x01');
+        s_arch = "ring:4";
+        s_knobs = P.default_knobs;
+        s_length = 1;
+        s_passes = 1;
+        s_schedule_json = "{}";
+      }
+  in
+  (match Statefile.open_ ~dir with
+  | Ok (t, _, _) ->
+      List.iter (Statefile.append t) [ sched; huge; replan ];
+      check "only the bounded records were appended" 2 (Statefile.appended t);
+      Statefile.close t
+  | Error msg -> Alcotest.fail msg);
+  match Statefile.open_ ~dir with
+  | Ok (t, records, dropped) ->
+      Statefile.close t;
+      check "nothing truncated" 0 dropped;
+      check_bool "the records around the skipped one replay" true
+        (records = [ sched; replan ])
+  | Error msg -> Alcotest.fail msg
+
+(* Labels may hold any byte but space, tab and newline; control bytes
+   stay escaped in the export and in daemon replies. *)
+let test_control_bytes_stay_escaped () =
+  let text =
+    "csdfg ctl\nnode A\x01 1\nnode B\r 2\nedge A\x01 B\r 0 1\nedge B\r A\x01 1 1\n"
+  in
+  let g = Result.get_ok (Dataflow.Io.of_string text) in
+  let topo = Result.get_ok (Topology.of_spec "ring:4") in
+  let exported =
+    Cyclo.Export.to_json (Cyclo.Compaction.run_on g topo).Cyclo.Compaction.best
+  in
+  let reply, _ =
+    Engine.handle_line (Engine.create ())
+      (P.request_to_json ~id:1
+         (P.Schedule
+            { graph = P.Inline text; arch = "ring:4"; knobs = P.default_knobs }))
+  in
+  List.iter
+    (fun (what, json) ->
+      check_bool (what ^ " has no raw control byte") true
+        (String.for_all (fun c -> Char.code c >= 0x20) json);
+      match Obs.Json.parse json with
+      | Error e -> Alcotest.fail (what ^ " is not JSON: " ^ e)
+      | Ok _ -> ())
+    [ ("export", exported); ("reply", reply) ];
+  let labels =
+    match Obs.Json.parse exported with
+    | Ok j ->
+        Option.bind (Obs.Json.member "assignments" j) Obs.Json.to_list
+        |> Option.get
+        |> List.filter_map (fun a ->
+               Option.bind (Obs.Json.member "node" a) Obs.Json.to_str)
+        |> List.sort compare
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "labels parse back" [ "A\x01"; "B\r" ] labels;
+  check_str "the reply embeds the export" exported (schedule_field reply)
+
+(* {2 Every daemon path against the one-shot pipeline} *)
+
+let uncached reply =
+  replace ~sub:"\"cached\":true" ~by:"\"cached\":false" reply
+
+(* Random connected loops sent inline, on several machines, both modes
+   and both transports: handle_line, handle_batch (with a duplicate and
+   a traced twin, on 1 and 2 domains) and a reopened engine all give the
+   reply whose schedule is the one-shot export, and that schedule is
+   legal.  A replan failing the last processor gives the same bytes —
+   reply or typed error — whether its parent is live or restored. *)
+let prop_daemon_paths_agree =
+  QCheck.Test.make ~count:24 ~name:"daemon paths agree with the one-shot"
+    (QCheck.make
+       QCheck.Gen.(
+         tup4 (int_range 8 16) (int_bound 100_000)
+           (oneofl [ "ring:4"; "mesh:2x3"; "hypercube:3"; "linear:5" ])
+           (pair
+              (oneofl
+                 [ Cyclo.Remap.With_relaxation; Cyclo.Remap.Without_relaxation ])
+              (oneofl [ Cachekey.Store_and_forward; Cachekey.Wormhole ]))))
+    (fun (nodes, seed, arch, (mode, transport)) ->
+      let g =
+        Workloads.Random_gen.generate_connected
+          ~params:{ Workloads.Random_gen.default with nodes }
+          ~seed ()
+      in
+      let text = Dataflow.Io.to_string g in
+      let knobs = { P.default_knobs with P.mode; transport } in
+      let request = P.Schedule { graph = P.Inline text; arch; knobs } in
+      let line = P.request_to_json ~id:1 request in
+      let topo = Result.get_ok (Topology.of_spec arch) in
+      let one_shot =
+        let g, comm =
+          Cachekey.instance knobs
+            (Result.get_ok (Dataflow.Io.of_string text))
+            topo
+        in
+        (Cyclo.Compaction.run ~mode g comm).Cyclo.Compaction.best
+      in
+      if Result.is_error (Cyclo.Validator.check one_shot) then
+        QCheck.Test.fail_report "one-shot schedule is illegal";
+      if Result.is_error (Cyclo.Validator.check_topology one_shot topo) then
+        QCheck.Test.fail_report "one-shot schedule does not fit the machine";
+      let live = Engine.create () in
+      let reference, _ = Engine.handle_line live line in
+      if schedule_field reference <> Cyclo.Export.to_json one_shot then
+        QCheck.Test.fail_report "handle_line differs from the one-shot export";
+      List.iter
+        (fun domains ->
+          let traced = P.request_to_json ~trace:true ~id:1 request in
+          match
+            Engine.handle_batch ~domains (Engine.create ())
+              [ line; line; traced ]
+          with
+          | [ (miss, _); (dup, _); (twin, _) ] ->
+              if
+                miss <> reference || uncached dup <> reference
+                || uncached (strip_trace twin) <> reference
+              then
+                QCheck.Test.fail_reportf "handle_batch differs on %d domains"
+                  domains
+          | _ -> QCheck.Test.fail_report "three replies expected")
+        [ 1; 2 ];
+      let session =
+        match P.parse_reply reference with
+        | Ok (P.Scheduled { session; _ }) -> session
+        | _ -> QCheck.Test.fail_report "expected a schedule reply"
+      in
+      let replan =
+        P.request_to_json ~id:2
+          (P.Replan
+             {
+               session;
+               fail_pes = [ Topology.n_processors topo ];
+               fail_links = [];
+               deadline_ms = None;
+             })
+      in
+      with_state_dir (fun dir ->
+          let first = Engine.create ~state_dir:dir () in
+          ignore (Engine.handle_line first line);
+          Engine.close first;
+          let reopened = Engine.create ~state_dir:dir () in
+          let hit, _ = Engine.handle_line reopened line in
+          let restored, _ = Engine.handle_line reopened replan in
+          Engine.close reopened;
+          let on_live, _ = Engine.handle_line live replan in
+          if uncached hit <> reference then
+            QCheck.Test.fail_report "the reopened engine differs";
+          if restored <> on_live then
+            QCheck.Test.fail_reportf "replan differs: live %s, restored %s"
+              on_live restored;
+          match P.parse_reply on_live with
+          | Ok (P.Replanned _) -> true
+          | Ok (P.Error_reply { err; _ }) when err.P.code <> "internal" -> true
+          | _ -> QCheck.Test.fail_reportf "untyped replan reply %s" on_live))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "service"
@@ -1370,7 +1681,10 @@ let () =
           q prop_parse_request_total;
           Alcotest.test_case "inline graph" `Quick
             test_inline_graph_round_trips;
+          Alcotest.test_case "control bytes stay escaped" `Quick
+            test_control_bytes_stay_escaped;
         ] );
+      ("paths", [ q prop_daemon_paths_agree ]);
       ( "telemetry",
         [
           Alcotest.test_case "metrics and health" `Quick
@@ -1385,6 +1699,11 @@ let () =
             test_socket_trace_identity;
           Alcotest.test_case "overload shedding" `Quick
             test_socket_overload_shedding;
+          Alcotest.test_case "line over the cap" `Quick test_socket_line_cap;
+          Alcotest.test_case "one refusal with replies pending" `Quick
+            test_socket_refused_once;
+          Alcotest.test_case "stalled refused client dropped" `Quick
+            test_socket_refused_stalled;
         ] );
       ( "deadline",
         [
@@ -1411,6 +1730,8 @@ let () =
             test_journal_reads_spelled_out_defaults;
           Alcotest.test_case "deadline never stored" `Quick
             test_journal_drops_deadline;
+          Alcotest.test_case "unreplayable record skipped" `Quick
+            test_statefile_skips_unreplayable_record;
         ] );
       ( "warm-restart",
         [
