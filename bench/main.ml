@@ -619,7 +619,7 @@ let a10 () =
         let r = Compaction.run_on ~validate:false g topo in
         let dt = Unix.gettimeofday () -. t0 in
         let bound =
-          match Dataflow.Iteration_bound.exact_ceil ~max_cycles:20_000 g with
+          match Dataflow.Iteration_bound.exact_ceil g with
           | Some b -> string_of_int b
           | None -> "-"
         in

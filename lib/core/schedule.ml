@@ -13,15 +13,21 @@ type entry = { cb : int; pe : int }
    scan-from-the-head interval lists made every placement O(nodes) —
    the whole start-up sweep went quadratic, which the 10^5-node scale
    tier cannot afford.  Every occupancy query below is one O(log)
-   neighbour lookup instead. *)
+   neighbour lookup instead.
+
+   Both maps store index rows, which sit [shift] above table rows: a
+   uniform shift of the whole table (one per compaction pass) only bumps
+   [shift], instead of rebuilding every entry and interval. *)
 type interval = { lo : int; hi : int; node : int }
 
 type t = {
   dfg : Csdfg.t;
   comm : Comm.t;
   speeds : int array;  (* per-processor cycle-time multiplier, >= 1 *)
-  entries : entry Imap.t;  (* node id -> placement *)
+  entries : entry Imap.t;  (* node id -> placement, [cb] an index row *)
+  assigned : int;  (* cardinal of [entries] *)
   occ : interval Imap.t array;  (* occupancy index: lo -> interval, per PE *)
+  shift : int;  (* index row = table row + shift *)
   length : int;
 }
 
@@ -49,8 +55,8 @@ let empty ?speeds dfg comm =
           s;
         Array.copy s
   in
-  { dfg; comm; speeds; entries = Imap.empty;
-    occ = Array.make np Imap.empty; length = 0 }
+  { dfg; comm; speeds; entries = Imap.empty; assigned = 0;
+    occ = Array.make np Imap.empty; shift = 0; length = 0 }
 
 let speeds t = Array.copy t.speeds
 let is_heterogeneous t = Array.exists (fun s -> s <> t.speeds.(0)) t.speeds
@@ -67,30 +73,35 @@ let comm t = t.comm
 let length t = t.length
 let n_processors t = Comm.n_processors t.comm
 
-let entry t v =
+let stored t v =
   if v < 0 || v >= Csdfg.n_nodes t.dfg then
     invalid_arg "Schedule.entry: node out of range";
   Imap.find_opt v t.entries
 
-let is_assigned t v = entry t v <> None
-let assigned_all t = Imap.cardinal t.entries = Csdfg.n_nodes t.dfg
-let n_assigned t = Imap.cardinal t.entries
+let entry t v =
+  match stored t v with
+  | Some e when t.shift <> 0 -> Some { e with cb = e.cb - t.shift }
+  | e -> e
+
+let is_assigned t v = stored t v <> None
+let assigned_all t = t.assigned = Csdfg.n_nodes t.dfg
+let n_assigned t = t.assigned
 
 let get_exn t v ctx =
-  match entry t v with
+  match stored t v with
   | Some e -> e
   | None ->
       invalid_arg
         (Printf.sprintf "Schedule.%s: node %s is not assigned" ctx
            (Csdfg.label t.dfg v))
 
-let cb t v = (get_exn t v "cb").cb
+let cb t v = (get_exn t v "cb").cb - t.shift
 let pe t v = (get_exn t v "pe").pe
 
 let span t v (e : entry) = Csdfg.time t.dfg v * t.speeds.(e.pe)
 let ce t v =
   let e = get_exn t v "ce" in
-  e.cb + span t v e - 1
+  e.cb - t.shift + span t v e - 1
 
 (* Disjoint intervals sorted by [lo] are also sorted by [hi], so the
    last interval of each processor carries that processor's largest CE. *)
@@ -98,7 +109,7 @@ let rows_needed t =
   Array.fold_left
     (fun acc m ->
       match Imap.max_binding_opt m with
-      | Some (_, iv) -> max acc iv.hi
+      | Some (_, iv) -> max acc (iv.hi - t.shift)
       | None -> acc)
     0 t.occ
 
@@ -113,7 +124,7 @@ let c_occupancy_queries = Obs.Counters.counter "schedule.occupancy_queries"
 
 let node_at t ~pe ~cs =
   Obs.Counters.incr c_occupancy_queries;
-  match covering t.occ.(pe) cs with
+  match covering t.occ.(pe) (cs + t.shift) with
   | Some iv -> Some iv.node
   | None -> None
 
@@ -121,6 +132,7 @@ let is_free t ~pe ~cb ~span:width =
   Obs.Counters.incr c_occupancy_queries;
   (* an overlap of [cb .. cb+width-1] must be the last interval starting
      at or before the window's end *)
+  let cb = cb + t.shift in
   match Imap.find_last_opt (fun lo -> lo <= cb + width - 1) t.occ.(pe) with
   | Some (_, iv) -> iv.hi < cb
   | None -> true
@@ -138,30 +150,24 @@ let assign t ~node ~cb ~pe =
     invalid_arg
       (Printf.sprintf "Schedule.assign: slot pe%d cs%d..%d is occupied" (pe + 1)
          cb (cb + span - 1));
-  let entries = Imap.add node { cb; pe } t.entries in
+  let lo = cb + t.shift in
+  let entries = Imap.add node { cb = lo; pe } t.entries in
   let occ = Array.copy t.occ in
-  occ.(pe) <- insert_interval { lo = cb; hi = cb + span - 1; node } occ.(pe);
-  { t with entries; occ; length = max t.length (cb + span - 1) }
+  occ.(pe) <- insert_interval { lo; hi = lo + span - 1; node } occ.(pe);
+  { t with entries; assigned = t.assigned + 1; occ;
+    length = max t.length (cb + span - 1) }
 
 let unassign t node =
   let e = get_exn t node "unassign" in
   let entries = Imap.remove node t.entries in
   let occ = Array.copy t.occ in
   occ.(e.pe) <- remove_interval e.cb occ.(e.pe);
-  { t with entries; occ }
+  { t with entries; assigned = t.assigned - 1; occ }
 
 let unassign_all t nodes = List.fold_left unassign t nodes
 
 let with_dfg t dfg' =
-  let same =
-    Csdfg.n_nodes dfg' = Csdfg.n_nodes t.dfg
-    && List.for_all
-         (fun v ->
-           Csdfg.label dfg' v = Csdfg.label t.dfg v
-           && Csdfg.time dfg' v = Csdfg.time t.dfg v)
-         (Csdfg.nodes t.dfg)
-  in
-  if not same then
+  if not (Csdfg.same_nodes dfg' t.dfg) then
     invalid_arg "Schedule.with_dfg: node set differs from the scheduled graph";
   { t with dfg = dfg' }
 
@@ -182,7 +188,7 @@ let first_free_slot t ~pe ~from ~span:width =
     | Some (_, iv) when iv.hi >= cs -> scan (iv.hi + 1)
     | _ -> cs
   in
-  scan (max 1 from)
+  scan (max 1 from + t.shift) - t.shift
 
 let first_row t =
   (* Only a processor's first interval can start at row 1. *)
@@ -190,7 +196,7 @@ let first_row t =
     Array.fold_left
       (fun acc m ->
         match Imap.min_binding_opt m with
-        | Some (_, iv) when iv.lo = 1 -> iv.node :: acc
+        | Some (_, iv) when iv.lo = 1 + t.shift -> iv.node :: acc
         | _ -> acc)
       [] t.occ
   in
@@ -203,18 +209,7 @@ let shift_up t =
         (Printf.sprintf "Schedule.shift_up: node %s starts at row 1"
            (Csdfg.label t.dfg v))
   | [] -> ());
-  let entries = Imap.map (fun e -> { e with cb = e.cb - 1 }) t.entries in
-  let occ =
-    Array.map
-      (fun m ->
-        Imap.fold
-          (fun _ iv acc ->
-            let iv = { iv with lo = iv.lo - 1; hi = iv.hi - 1 } in
-            Imap.add iv.lo iv acc)
-          m Imap.empty)
-      t.occ
-  in
-  { t with entries; occ; length = max 0 (t.length - 1) }
+  { t with shift = t.shift + 1; length = max 0 (t.length - 1) }
 
 let normalize t =
   let rec settle t =
@@ -235,7 +230,7 @@ let compare_assignments a b =
       List.init (Csdfg.n_nodes t.dfg) (fun v ->
           match Imap.find_opt v t.entries with
           | None -> (-1, -1)
-          | Some e -> (e.cb, e.pe)) )
+          | Some e -> (e.cb - t.shift, e.pe)) )
   in
   compare (key a) (key b)
 
@@ -245,7 +240,8 @@ let signature t =
   for v = 0 to Csdfg.n_nodes t.dfg - 1 do
     match Imap.find_opt v t.entries with
     | None -> Buffer.add_string buf ";_"
-    | Some e -> Buffer.add_string buf (Printf.sprintf ";%d@%d" e.cb e.pe)
+    | Some e ->
+        Buffer.add_string buf (Printf.sprintf ";%d@%d" (e.cb - t.shift) e.pe)
   done;
   Buffer.contents buf
 
@@ -259,7 +255,7 @@ let hash t =
   for v = 0 to Csdfg.n_nodes t.dfg - 1 do
     match Imap.find_opt v t.entries with
     | None -> h := mix !h (-1)
-    | Some e -> h := mix (mix !h e.cb) e.pe
+    | Some e -> h := mix (mix !h (e.cb - t.shift)) e.pe
   done;
   !h land max_int
 

@@ -11,12 +11,15 @@
     honoured.
 
     Placement queries are served from an incremental per-processor
-    occupancy index (sorted disjoint intervals per PE, maintained by
-    {!assign} / {!unassign} / {!shift_up}) rather than by scanning every
-    node: with [k] the number of nodes on the queried processor,
-    {!is_free}, {!node_at} and {!first_free_slot} are O(k) with early
-    exit, {!first_row} and {!rows_needed} are O(P) over the per-PE list
-    heads/tails instead of O(V) over all entries. *)
+    occupancy index (disjoint intervals per PE in a persistent map keyed
+    by start, maintained by {!assign} / {!unassign}) rather than by
+    scanning every node: with [k] the number of nodes on the queried
+    processor, {!is_free} and {!node_at} are one O(log k) neighbour
+    lookup, {!first_free_slot} one per occupied run it jumps, and
+    {!first_row} and {!rows_needed} O(P log k) over the per-PE
+    extremes.  Rows are stored with a per-schedule offset, so
+    {!shift_up} moves the whole table without touching a placement.
+    docs/model.md, "Scheduler complexity", has the full table. *)
 
 type entry = { cb : int; pe : int }
 
@@ -98,7 +101,8 @@ val rows_needed : t -> int
 (** Largest [CE] over assigned nodes; 0 when nothing is assigned. *)
 
 val shift_up : t -> t
-(** Subtract one from every [CB]; length decreases by one.
+(** Subtract one from every [CB]; length decreases by one.  O(P): the
+    row-1 check, then an offset bump — no placement is rebuilt.
     @raise Invalid_argument when some node starts at row 1. *)
 
 val normalize : t -> t

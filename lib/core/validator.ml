@@ -34,69 +34,70 @@ let pp_violation sched ppf v =
         (Schedule.pe sched e.G.src + 1)
         (Schedule.pe sched e.G.dst + 1)
 
+(* One pass: each placement is read once, through [Schedule.entry] and
+   [Schedule.duration] only (never through the occupancy index this
+   checks), into per-node arrays; the rules below then read arrays. *)
 let check sched =
   let dfg = Schedule.dfg sched in
-  let problems = ref [] in
-  let note p = problems := p :: !problems in
-  let unassigned =
-    List.filter (fun v -> not (Schedule.is_assigned sched v)) (Csdfg.nodes dfg)
-  in
-  List.iter (fun v -> note (Unassigned v)) unassigned;
-  if unassigned = [] then begin
+  let n = Csdfg.n_nodes dfg in
+  let cb = Array.make n 0 and pe = Array.make n 0 and ce = Array.make n 0 in
+  let unassigned = ref [] in
+  for v = n - 1 downto 0 do
+    match Schedule.entry sched v with
+    | None -> unassigned := Unassigned v :: !unassigned
+    | Some e ->
+        cb.(v) <- e.cb;
+        pe.(v) <- e.pe;
+        ce.(v) <- e.cb + Schedule.duration sched ~node:v ~pe:e.pe - 1
+  done;
+  if !unassigned <> [] then Error !unassigned
+  else begin
+    let problems = ref [] in
+    let note p = problems := p :: !problems in
     let len = Schedule.length sched in
-    List.iter
-      (fun v -> if Schedule.ce sched v > len then note (Out_of_table v))
-      (Csdfg.nodes dfg);
-    (* Resource overlaps: a sweep over each processor's intervals in
-       start order touches every intersecting pair without the O(n^2)
-       all-pairs scan (which dominated whole-run time at scale-tier
-       sizes).  Pairs are re-sorted to the (a, b) order the all-pairs
-       loop reported, so the violation list is unchanged. *)
-    let np = Schedule.n_processors sched in
-    let by_pe = Array.make np [] in
-    List.iter
-      (fun v ->
-        let p = Schedule.pe sched v in
-        by_pe.(p) <- (Schedule.cb sched v, Schedule.ce sched v, v) :: by_pe.(p))
-      (Csdfg.nodes dfg);
-    let overlaps = ref [] in
-    Array.iter
-      (fun ivs ->
-        let sorted =
-          List.sort (fun (lo1, _, v1) (lo2, _, v2) ->
-              match compare lo1 lo2 with 0 -> compare v1 v2 | c -> c)
-            ivs
-        in
-        (* [active]: already-seen intervals whose end may still reach the
-           current start; on a legal schedule it never holds more than
-           one element. *)
-        let active = ref [] in
+    for v = 0 to n - 1 do
+      if ce.(v) > len then note (Out_of_table v)
+    done;
+    (* Resource overlaps: one sort by (processor, start, node) and a
+       sweep touch every intersecting pair without the O(n^2) all-pairs
+       scan.  [active] holds the processor's earlier intervals whose end
+       may still reach the current start; on a legal schedule it never
+       holds more than one.  Pairs are re-sorted to the (a, b) order of
+       the all-pairs loop. *)
+    let order = Array.init n Fun.id in
+    Array.sort
+      (fun a b ->
+        match compare pe.(a) pe.(b) with
+        | 0 -> ( match compare cb.(a) cb.(b) with 0 -> compare a b | c -> c)
+        | c -> c)
+      order;
+    let overlaps = ref [] and active = ref [] in
+    Array.iteri
+      (fun i v ->
+        if i > 0 && pe.(order.(i - 1)) <> pe.(v) then active := [];
+        active := List.filter (fun a -> ce.(a) >= cb.(v)) !active;
         List.iter
-          (fun (lo, hi, v) ->
-            active := List.filter (fun (_, ahi, _) -> ahi >= lo) !active;
-            List.iter
-              (fun (_, _, a) ->
-                let x = min a v and y = max a v in
-                overlaps := (x, y) :: !overlaps)
-              !active;
-            active := (lo, hi, v) :: !active)
-          sorted)
-      by_pe;
+          (fun a -> overlaps := (min a v, max a v) :: !overlaps)
+          !active;
+        active := v :: !active)
+      order;
     List.iter
       (fun (a, b) -> note (Overlap (a, b)))
       (List.sort_uniq compare !overlaps);
     (* Dependences, intra- and inter-iteration in one rule. *)
-    List.iter
+    let comm = Schedule.comm sched in
+    G.iter_edges
       (fun e ->
-        let m = Timing.edge_cost sched e in
-        let have =
-          Schedule.cb sched e.G.dst + (Csdfg.delay e * len)
+        let u = e.G.src and v = e.G.dst in
+        let m =
+          Comm.cost comm ~src:pe.(u) ~dst:pe.(v) ~volume:(Csdfg.volume e)
         in
-        let want = Schedule.ce sched e.G.src + m + 1 in
+        let have = cb.(v) + (Csdfg.delay e * len) in
+        let want = ce.(u) + m + 1 in
         if have < want then note (Dependence (e, want - have)))
-      (Csdfg.edges dfg)
-  end;
-  match List.rev !problems with [] -> Ok () | l -> Error l
+      (Csdfg.graph dfg);
+    match List.rev !problems with [] -> Ok () | l -> Error l
+  end
 
 let is_legal sched = check sched = Ok ()
 

@@ -45,6 +45,21 @@ let of_graph ~name ~labels ~time graph =
   { name; graph; time = Array.copy time; labels = Array.copy labels;
     index = build_index labels }
 
+let redelay t ~nodes f =
+  let delay e =
+    let d = f e in
+    if d < 0 then
+      invalid_arg
+        (Printf.sprintf "Csdfg: edge %d -> %d has negative delay" e.G.src
+           e.G.dst);
+    { e.G.label with delay = d }
+  in
+  { t with graph = G.map_incident nodes delay t.graph }
+
+let same_nodes a b =
+  (a.labels == b.labels || a.labels = b.labels)
+  && (a.time == b.time || a.time = b.time)
+
 let make ~name ~nodes ~edges =
   let labels = Array.of_list (List.map fst nodes) in
   let time = Array.of_list (List.map snd nodes) in

@@ -31,6 +31,13 @@ val of_graph :
 (** Lower-level constructor used by transformations.
     @raise Invalid_argument on size mismatches or invalid weights. *)
 
+val redelay : t -> nodes:int list -> (attr Digraph.Graph.edge -> int) -> t
+(** [redelay t ~nodes f] sets the delay of every edge with an endpoint in
+    [nodes] to [f e]; every other edge, the labels, the times and the
+    label index are shared with [t].  This is how a rotation retimes its
+    set without rebuilding the graph (see {!Digraph.Graph.map_incident}).
+    @raise Invalid_argument on a negative delay or an out-of-range node. *)
+
 (** {1 Accessors} *)
 
 val name : t -> string
@@ -53,6 +60,10 @@ val total_time : t -> int
 (** Sum of all node computation times (the sequential schedule length). *)
 
 val max_time : t -> int
+
+val same_nodes : t -> t -> bool
+(** Same labels and times, node by node; O(1) when both share them (as
+    after {!redelay}). *)
 
 (** {1 Validation} *)
 

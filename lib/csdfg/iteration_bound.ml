@@ -4,11 +4,10 @@
 let num g e = Csdfg.time g e.Digraph.Graph.src
 let den e = Csdfg.delay e
 
-let exact ?max_cycles g =
-  Digraph.Karp.maximum_cycle_ratio ?max_cycles (Csdfg.graph g) ~num:(num g) ~den
+let exact g = Digraph.Karp.maximum_cycle_ratio (Csdfg.graph g) ~num:(num g) ~den
 
-let exact_ceil ?max_cycles g =
-  match exact ?max_cycles g with
+let exact_ceil g =
+  match exact g with
   | None -> None
   | Some (t, d) -> Some ((t + d - 1) / d)
 
@@ -17,7 +16,7 @@ let approx ?epsilon g =
     ~den
 
 let critical_cycles ?max_cycles g =
-  match exact ?max_cycles g with
+  match exact g with
   | None -> []
   | Some (bt, bd) ->
       let graph = Csdfg.graph g in

@@ -5,11 +5,13 @@
     schedule length per iteration, regardless of processor count — a
     floor against which cyclo-compaction results can be judged. *)
 
-val exact : ?max_cycles:int -> Csdfg.t -> (int * int) option
-(** Unreduced fraction [T(C') / D(C')] of a critical cycle by elementary
-    cycle enumeration; [None] for acyclic graphs. *)
+val exact : Csdfg.t -> (int * int) option
+(** Unreduced fraction [T(C') / D(C')] of a critical cycle; [None] for
+    acyclic graphs.  Exact at any graph size: found by a parametric
+    search over cycle ratios ({!Digraph.Karp.maximum_cycle_ratio}), not
+    by enumerating cycles. *)
 
-val exact_ceil : ?max_cycles:int -> Csdfg.t -> int option
+val exact_ceil : Csdfg.t -> int option
 (** [ceil] of {!exact} — the smallest integer schedule length per
     iteration permitted by the loop-carried dependencies. *)
 
@@ -17,4 +19,6 @@ val approx : ?epsilon:float -> Csdfg.t -> float option
 (** Binary-search estimate that scales to large graphs. *)
 
 val critical_cycles : ?max_cycles:int -> Csdfg.t -> int list list
-(** All elementary cycles attaining the bound. *)
+(** All elementary cycles attaining the bound, from an enumeration
+    bounded by [max_cycles] (see {!Digraph.Cycles.elementary}); the
+    bound itself comes from {!exact}. *)

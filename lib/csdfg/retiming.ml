@@ -26,28 +26,39 @@ let apply g r =
     ~time:(Array.init (Csdfg.n_nodes g) (Csdfg.time g))
     graph
 
-let rotation_of_set g set =
-  let r = identity g in
+module Iset = Set.Make (Int)
+
+let rotation_set g set =
   List.iter
     (fun v ->
       if v < 0 || v >= Csdfg.n_nodes g then
-        invalid_arg "Retiming.rotate_set: node out of range";
-      r.(v) <- 1)
+        invalid_arg "Retiming.rotate_set: node out of range")
     set;
-  r
+  Iset.of_list set
 
-(* With [retimed_delay e = d + r(src) - r(dst)], setting r(v) = 1 for
-   v in the set subtracts one delay from each incoming edge and adds one
-   to each outgoing edge — exactly the paper's rotation. *)
-let rotation_retiming = rotation_of_set
+(* Rotating a set retimes each of its nodes by one: with
+   [retimed_delay e = d + r(src) - r(dst)], an edge entering the set
+   from outside loses one delay, an edge leaving it gains one, and every
+   other edge keeps its delay.  Only the first kind can turn negative
+   (construction already rejects negative delays), so legality reads the
+   set's in-edges alone. *)
+let legal_rotation g set =
+  Iset.for_all
+    (fun v ->
+      List.for_all
+        (fun e -> Iset.mem e.G.src set || Csdfg.delay e > 0)
+        (Csdfg.pred g v))
+    set
 
-let can_rotate g set = is_legal g (rotation_retiming g set)
+let can_rotate g set = legal_rotation g (rotation_set g set)
 
 let rotate_set g set =
-  let r = rotation_retiming g set in
-  if not (is_legal g r) then
+  let set = rotation_set g set in
+  if not (legal_rotation g set) then
     invalid_arg "Retiming.rotate_set: a drawn incoming edge has no delay";
-  apply g r
+  let r v = if Iset.mem v set then 1 else 0 in
+  Csdfg.redelay g ~nodes:(Iset.elements set) (fun e ->
+      Csdfg.delay e + r e.G.src - r e.G.dst)
 
 let compose a b = Array.mapi (fun i x -> x + b.(i)) a
 

@@ -25,10 +25,17 @@ val apply : Csdfg.t -> r -> Csdfg.t
 val rotate_set : Csdfg.t -> int list -> Csdfg.t
 (** The paper's rotation (Definition 4.1): retime every node of the set by
     one — draw one delay from each incoming edge of the set, push one onto
-    each outgoing edge.  @raise Invalid_argument when illegal (some
-    incoming edge from outside the set has no delay to draw). *)
+    each outgoing edge.  Equal to {!apply} of that retiming, edge orders
+    included, but only the set's edges are rewritten; everything else is
+    shared with the input (see {!Csdfg.redelay}), so a compaction pass
+    pays for its rotated row, not for the graph.
+    @raise Invalid_argument when illegal (some incoming edge from outside
+    the set has no delay to draw) or when a node is out of range. *)
 
 val can_rotate : Csdfg.t -> int list -> bool
+(** Whether {!rotate_set} is legal, i.e. {!is_legal} of the rotation
+    retiming; reads only the set's in-edges.
+    @raise Invalid_argument when a node is out of range. *)
 
 val compose : r -> r -> r
 (** Pointwise sum: applying [compose a b] equals applying [a] then [b]. *)

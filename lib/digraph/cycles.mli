@@ -1,8 +1,9 @@
 (** Elementary cycle enumeration (Johnson's algorithm).
 
-    Intended for the small graphs of this library (validation,
-    iteration-bound cross-checks); the number of elementary cycles can be
-    exponential, so [max_cycles] bounds the enumeration. *)
+    Intended for small graphs (validation, critical-cycle listings, test
+    references); the number of elementary cycles can be exponential, so
+    [max_cycles] bounds the enumeration.  The iteration bound itself does
+    not enumerate: see {!Karp.maximum_cycle_ratio}. *)
 
 val elementary : ?max_cycles:int -> 'e Graph.t -> int list list
 (** Every elementary (simple) cycle as its node list, starting from the

@@ -44,8 +44,8 @@ let create ~n edges =
 
 let edges g = List.rev g.all_rev
 
-let adjacency map v =
-  match Imap.find_opt v map with None -> [] | Some l -> List.rev l
+let raw map v = Option.value ~default:[] (Imap.find_opt v map)
+let adjacency map v = List.rev (raw map v)
 
 let succ g v =
   check_node g v "succ";
@@ -65,6 +65,41 @@ let mem_edge g ~src ~dst = find_edges g ~src ~dst <> []
 
 let map_labels f g =
   create ~n:g.n (List.map (fun e -> { e with label = f e }) (edges g))
+
+module Iset = Set.Make (Int)
+
+(* Only the adjacency lists of [nodes] and of their neighbours hold an
+   edge incident to [nodes]; every other list, and every untouched edge
+   record, is shared with [g].  The all-edges list is re-consed once. *)
+let map_incident nodes f g =
+  List.iter (fun v -> check_node g v "map_incident") nodes;
+  let set = Iset.of_list nodes in
+  let incident e = Iset.mem e.src set || Iset.mem e.dst set in
+  let relabel e = if incident e then { e with label = f e } else e in
+  let rewrite owners map =
+    Iset.fold
+      (fun v map ->
+        match Imap.find_opt v map with
+        | Some l -> Imap.add v (List.map relabel l) map
+        | None -> map)
+      owners map
+  in
+  let sources, targets =
+    Iset.fold
+      (fun v acc ->
+        let add_both acc e =
+          (Iset.add e.src (fst acc), Iset.add e.dst (snd acc))
+        in
+        let acc = List.fold_left add_both acc (raw g.out_rev v) in
+        List.fold_left add_both acc (raw g.in_rev v))
+      set (Iset.empty, Iset.empty)
+  in
+  {
+    g with
+    out_rev = rewrite sources g.out_rev;
+    in_rev = rewrite targets g.in_rev;
+    all_rev = List.map relabel g.all_rev;
+  }
 
 let filter_edges keep g = create ~n:g.n (List.filter keep (edges g))
 let fold_edges f init g = List.fold_left f init (edges g)

@@ -56,6 +56,14 @@ val find_edges : 'e t -> src:int -> dst:int -> 'e edge list
 val map_labels : ('e edge -> 'f) -> 'e t -> 'f t
 (** Rebuild the graph applying a function to every edge. *)
 
+val map_incident : int list -> ('e edge -> 'e) -> 'e t -> 'e t
+(** [map_incident nodes f g] relabels every edge with an endpoint in
+    [nodes] to [f e] and keeps every other edge; all edge orders are
+    unchanged.  Costs the degree of [nodes] and of their neighbours plus
+    one pass over the edge list, instead of {!map_labels}' rebuild; [f]
+    may be called more than once per edge.
+    @raise Invalid_argument if a node is out of range. *)
+
 val filter_edges : ('e edge -> bool) -> 'e t -> 'e t
 (** Keep only edges satisfying the predicate (same node set). *)
 

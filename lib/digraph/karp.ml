@@ -48,32 +48,91 @@ let minimum_cycle_mean g ~weight =
     if best < inf then Some best else None
   end
 
-let ratio_compare (a_num, a_den) (b_num, b_den) =
-  compare (a_num * b_den) (b_num * a_den)
+(* Parametric search for the maximum cycle ratio (Lawler's method with
+   an exact integer test).  Given a current ratio [p/q], a cycle [C] has
+   a larger ratio exactly when [q * num C - p * den C > 0], so a
+   positive cycle under the integer weights [q * num e - p * den e] is a
+   witness that [p/q] is too low; its own ratio becomes the next [p/q].
+   The ratio rises strictly with every step, and the search stops when
+   no positive cycle is left: the last witness is then critical.
 
-let maximum_cycle_ratio ?max_cycles g ~num ~den =
-  let cycles = Cycles.elementary ?max_cycles g in
-  (* A node cycle stands for one circuit per combination of parallel
-     edges; each combination has its own ratio. *)
-  let measure edges =
-    let sum f = List.fold_left (fun acc e -> acc + f e) 0 edges in
-    let d = sum den in
+   Positive cycles are found by Bellman-Ford (longest paths) from a
+   virtual source at distance 0 to every node.  After each sweep the
+   parent graph is checked: with strict relaxations every cycle in it is
+   positive, and while one exists distances keep rising, which they
+   cannot do forever without closing a parent cycle. *)
+let maximum_cycle_ratio g ~num ~den =
+  let n = Graph.n_nodes g in
+  let edges = Array.of_list (Graph.edges g) in
+  let src = Array.map (fun e -> e.Graph.src) edges in
+  let dst = Array.map (fun e -> e.Graph.dst) edges in
+  let nums = Array.map num edges and dens = Array.map den edges in
+  let m = Array.length edges in
+  let dist = Array.make n 0 and parent = Array.make n (-1) in
+  let mark = Array.make n (-1) in
+  (* A cycle of the parent graph as its edge indices, if there is one. *)
+  let parent_cycle () =
+    Array.fill mark 0 n (-1);
+    let found = ref None and v0 = ref 0 in
+    while !found = None && !v0 < n do
+      let rec walk v =
+        if mark.(v) = -1 && parent.(v) >= 0 then begin
+          mark.(v) <- !v0;
+          walk src.(parent.(v))
+        end
+        else if mark.(v) = !v0 then begin
+          let rec collect u acc =
+            let e = parent.(u) in
+            if src.(e) = v then e :: acc else collect src.(e) (e :: acc)
+          in
+          found := Some (collect v [])
+        end
+      in
+      walk !v0;
+      incr v0
+    done;
+    !found
+  in
+  let positive_cycle ~p ~q =
+    Array.fill dist 0 n 0;
+    Array.fill parent 0 n (-1);
+    let rec sweep () =
+      let changed = ref false in
+      for i = 0 to m - 1 do
+        let d = dist.(src.(i)) + (q * nums.(i)) - (p * dens.(i)) in
+        if d > dist.(dst.(i)) then begin
+          dist.(dst.(i)) <- d;
+          parent.(dst.(i)) <- i;
+          changed := true
+        end
+      done;
+      if not !changed then None
+      else match parent_cycle () with Some c -> Some c | None -> sweep ()
+    in
+    sweep ()
+  in
+  let measure cycle =
+    let sum a = List.fold_left (fun acc i -> acc + a.(i)) 0 cycle in
+    let d = sum dens in
     if d <= 0 then
       invalid_arg "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator";
-    (sum num, d)
+    (sum nums, d)
   in
-  let ratios =
-    List.concat_map
-      (fun cyc -> List.map measure (Cycles.all_cycle_edges g cyc))
-      cycles
+  let rec raise_bound (p, q) =
+    match positive_cycle ~p ~q with
+    | None -> (p, q)
+    | Some cycle -> raise_bound (measure cycle)
   in
-  match ratios with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun a b -> if ratio_compare a b >= 0 then a else b)
-           first rest)
+  (* Below every ratio: a cycle's numerator is at least minus the sum of
+     all numerators' magnitudes, and its denominator at least 1. *)
+  let floor = -1 - Array.fold_left (fun acc x -> acc + abs x) 0 nums in
+  match positive_cycle ~p:floor ~q:1 with
+  | Some cycle -> Some (raise_bound (measure cycle))
+  | None ->
+      if Cycles.has_cycle g then
+        invalid_arg
+          "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator";
+      None
 
 (* Bellman-Ford over float weights seeded everywhere at 0; true when a
    negative cycle exists for weight (lambda * den - num), i.e. when some

@@ -232,6 +232,20 @@ module Writer = struct
   let add_escaped b s =
     if clean s then Buffer.add_string b s else escape_slow b s
 
+  let escaped_length s =
+    let n = ref 0 in
+    String.iter
+      (fun c ->
+        n :=
+          !n
+          +
+          match c with
+          | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+          | c when Char.code c < 0x20 -> 6
+          | _ -> 1)
+      s;
+    !n
+
   let escape s =
     if clean s then s
     else begin

@@ -59,6 +59,10 @@ module Writer : sig
       output is valid JSON whatever the input.  The one JSON string
       escaper of the tree. *)
 
+  val escaped_length : string -> int
+  (** The number of bytes {!add_escaped} writes for a string, without
+      allocating — for presizing buffers. *)
+
   val escape : string -> string
   (** {!add_escaped} as a string; returns its argument itself when
       nothing needs escaping. *)

@@ -51,39 +51,44 @@ let max_payload = 1 lsl 26
 (* CRC-32 (IEEE 802.3), table-driven — no zlib dependency.              *)
 (* ------------------------------------------------------------------ *)
 
+(* Native ints hold the 32-bit register without boxing, so the checksum
+   allocates nothing whatever the length. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand
-             (Int32.logxor !c (Int32.of_int (Char.code ch)))
-             0xFFl)
-      in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    c :=
+      crc_table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* ------------------------------------------------------------------ *)
 (* Payload encoding/decoding                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The payload's size is its escaped string fields plus a few hundred
+   bytes of keys, numbers and knobs; sizing the buffer up front keeps a
+   large record from being copied at every doubling. *)
+let payload_size_hint r =
+  let strings =
+    match r with
+    | Sched s ->
+        [ s.s_key; (match s.s_graph with P.Workload w | P.Inline w -> w);
+          s.s_arch; s.s_schedule_json ]
+    | Replan r -> [ r.r_key; r.r_parent; r.r_strategy; r.r_schedule_json ]
+  in
+  List.fold_left (fun acc s -> acc + Json.Writer.escaped_length s) 1024 strings
+
 let encode_payload r =
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create (payload_size_hint r) in
   let str k v =
     Printf.bprintf buf ",\"%s\":\"" k;
     Json.Writer.add_escaped buf v;
@@ -208,22 +213,22 @@ let decode_payload payload =
   | Some t -> Error (Printf.sprintf "unknown record type %S" t)
   | None -> Error "record is missing \"t\""
 
-let frame payload =
-  let len = String.length payload in
-  let b = Bytes.create (8 + len) in
-  Bytes.set_int32_be b 0 (Int32.of_int len);
+let header payload =
+  let b = Bytes.create 8 in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
   Bytes.set_int32_be b 4 (crc32 payload);
-  Bytes.blit_string payload 0 b 8 len;
   Bytes.unsafe_to_string b
 
-let encode_record r = frame (encode_payload r)
+let encode_record r =
+  let payload = encode_payload r in
+  header payload ^ payload
 
 (* Replay stops at a payload over [max_payload] and truncates it with
    every later record, so such a record is never written: its entry
    serves from memory only. *)
 let replayable r =
   let payload = encode_payload r in
-  if String.length payload > max_payload then None else Some (frame payload)
+  if String.length payload > max_payload then None else Some payload
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                               *)
@@ -279,6 +284,11 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
+(* Header, then payload: the frame is never assembled in memory. *)
+let write_record fd payload =
+  write_all fd (header payload);
+  write_all fd payload
+
 let read_file fd size =
   ignore (Unix.lseek fd 0 Unix.SEEK_SET);
   let b = Bytes.create size in
@@ -332,8 +342,8 @@ let open_ ~dir =
 let append t r =
   match (t.fd, replayable r) with
   | None, _ | _, None -> ()
-  | Some fd, Some bytes -> (
-      match write_all fd bytes with
+  | Some fd, Some payload -> (
+      match write_record fd payload with
       | () -> t.n_appended <- t.n_appended + 1
       | exception Unix.Unix_error _ ->
           (* a failing disk must not fail requests: degrade to the
@@ -354,7 +364,7 @@ let compact t records =
           match
             write_all tmp_fd magic;
             List.iter
-              (fun r -> Option.iter (write_all tmp_fd) (replayable r))
+              (fun r -> Option.iter (write_record tmp_fd) (replayable r))
               records;
             Unix.fsync tmp_fd;
             Unix.close tmp_fd;

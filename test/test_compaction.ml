@@ -292,6 +292,30 @@ let test_cyclo_beats_or_ties_rotation_oblivious_fig7 () =
 let test_sequential_length () =
   check "fig1b" 8 (Baseline.sequential_length fig1b)
 
+(* Sixteen passes on a 2000-node loop, pinned by the MD5 of the
+   schedule signatures: retiming only the rotated row's edges, shifting
+   rows by an offset and the one-pass validator must not move a
+   placement. *)
+let test_scale_passes_pinned () =
+  let g = Workloads.Random_gen.layered ~nodes:2000 ~seed:1 () in
+  let topo = Topology.linear_array 8 in
+  let md5 s = Digest.to_hex (Digest.string (Schedule.signature s)) in
+  List.iter
+    (fun (name, mode, best, final) ->
+      let r = Compaction.run_on ~mode ~passes:16 g topo in
+      Alcotest.(check string) (name ^ " best") best (md5 r.Compaction.best);
+      Alcotest.(check string) (name ^ " final") final (md5 r.Compaction.final))
+    [
+      ( "with relaxation",
+        Remap.With_relaxation,
+        "90fb653f73750347632166c0ef89f66c",
+        "556fb68c3e1a41515f44a3b829e8cd51" );
+      ( "without relaxation",
+        Remap.Without_relaxation,
+        "90fb653f73750347632166c0ef89f66c",
+        "90fb653f73750347632166c0ef89f66c" );
+    ]
+
 let () =
   Alcotest.run "compaction"
     [
@@ -330,6 +354,8 @@ let () =
           Alcotest.test_case "zero passes" `Quick test_passes_zero_returns_startup;
           Alcotest.test_case "single processor" `Quick
             test_single_processor_fixed_point;
+          Alcotest.test_case "2000 nodes, 16 passes pinned" `Quick
+            test_scale_passes_pinned;
         ] );
       ( "scoring",
         [

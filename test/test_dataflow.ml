@@ -288,6 +288,13 @@ let test_iteration_bound_acyclic () =
   in
   check_bool "acyclic -> None" true (Dataflow.Iteration_bound.exact dag = None)
 
+(* Exact at scale: this graph holds far more elementary cycles than any
+   enumeration bound, and the bound must still be the true one. *)
+let test_iteration_bound_scale () =
+  let g = Workloads.Random_gen.layered ~nodes:1000 ~seed:1 () in
+  check "layered 1000 seed 1" 29
+    (Option.get (Dataflow.Iteration_bound.exact_ceil g))
+
 let test_critical_cycles () =
   let crit = Dataflow.Iteration_bound.critical_cycles fig1b in
   check "one critical cycle" 1 (List.length crit);
@@ -476,6 +483,8 @@ let () =
           Alcotest.test_case "approx agrees" `Quick test_iteration_bound_approx_agrees;
           Alcotest.test_case "acyclic" `Quick test_iteration_bound_acyclic;
           Alcotest.test_case "critical cycles" `Quick test_critical_cycles;
+          Alcotest.test_case "exact at 1000 nodes" `Quick
+            test_iteration_bound_scale;
         ] );
       ( "transform",
         [

@@ -519,6 +519,115 @@ let test_mcm_matches_bruteforce =
              Float.abs (m -. List.fold_left min (List.hd means) means) < 1e-9
          | Some _, [] | None, _ :: _ -> false))
 
+(* The cycle enumeration the parametric search replaced, kept as the
+   reference: one ratio per elementary circuit, parallel-edge choices
+   included. *)
+let enumerated_max_ratio g ~num ~den =
+  let ratios =
+    Digraph.Cycles.elementary ~max_cycles:1_000_000 g
+    |> List.concat_map
+         (Digraph.Cycles.all_cycle_edges ~max_variants:1_000_000 g)
+    |> List.map (fun es ->
+           let sum f = List.fold_left (fun acc e -> acc + f e) 0 es in
+           (sum num, sum den))
+  in
+  if List.exists (fun (_, d) -> d <= 0) ratios then `Raises
+  else
+    match ratios with
+    | [] -> `Acyclic
+    | r :: rest ->
+        `Ratio
+          (List.fold_left
+             (fun (a, b) (c, d) -> if a * d >= c * b then (a, b) else (c, d))
+             r rest)
+
+let test_max_ratio_matches_enumeration =
+  QCheck_alcotest.to_alcotest ~long:false
+    (QCheck.Test.make ~count:300
+       ~name:"max cycle ratio = enumeration (parallel edges, self-loops)"
+       (QCheck.int_range 0 100_000)
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0x4a7 |] in
+         let n = 1 + Random.State.int rng 6 in
+         (* half the graphs may hold zero-delay cycles (and must raise);
+            the other half have positive delays and any numerators *)
+         let may_raise = Random.State.bool rng in
+         let label () =
+           if may_raise then
+             (1 + Random.State.int rng 9, Random.State.int rng 4)
+           else (Random.State.int rng 13 - 3, 1 + Random.State.int rng 3)
+         in
+         let edges =
+           List.concat
+             (List.init n (fun a ->
+                  List.concat
+                    (List.init n (fun b ->
+                         if Random.State.float rng 1.0 < 0.35 then
+                           List.init (1 + Random.State.int rng 2) (fun _ ->
+                               edge a b (label ()))
+                         else []))))
+         in
+         let g = G.create ~n edges in
+         let num e = fst e.G.label and den e = snd e.G.label in
+         match
+           ( enumerated_max_ratio g ~num ~den,
+             Digraph.Karp.maximum_cycle_ratio g ~num ~den )
+         with
+         | `Raises, _ -> QCheck.Test.fail_reportf "expected a raise"
+         | `Acyclic, None -> true
+         | `Ratio (a, b), Some (c, d) -> d > 0 && a * d = c * b
+         | _ -> false
+         | exception Invalid_argument _ ->
+             enumerated_max_ratio g ~num ~den = `Raises))
+
+(* A cycle whose denominator sum is not positive raises, whether the
+   search meets it as a witness or never finds a positive cycle at all. *)
+let test_max_ratio_rejects_non_positive_denominator () =
+  let rejects name g =
+    Alcotest.check_raises name
+      (Invalid_argument
+         "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator")
+      (fun () ->
+        ignore
+          (Digraph.Karp.maximum_cycle_ratio g
+             ~num:(fun e -> fst e.G.label)
+             ~den:(fun e -> snd e.G.label)))
+  in
+  rejects "zero-delay cycle met as a witness"
+    (G.create ~n:2 [ edge 0 1 (3, 0); edge 1 0 (2, 0) ]);
+  rejects "no positive cycle anywhere"
+    (G.create ~n:2 [ edge 0 1 (1, 1); edge 1 0 (1, -2) ])
+
+let test_map_incident () =
+  let g =
+    G.create ~n:4
+      [ edge 0 1 1; edge 1 1 2; edge 2 3 3; edge 1 2 4; edge 0 1 5; edge 3 0 6 ]
+  in
+  let touched e = e.G.src = 1 || e.G.dst = 1 in
+  let relabel e = e.G.label * 10 in
+  let g' = G.map_incident [ 1 ] relabel g in
+  let expected =
+    G.map_labels (fun e -> if touched e then relabel e else e.G.label) g
+  in
+  let quads l = List.map (fun e -> (e.G.src, e.G.dst, e.G.label)) l in
+  Alcotest.(check (list (triple int int int)))
+    "edge list" (quads (G.edges expected)) (quads (G.edges g'));
+  List.iter
+    (fun v ->
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "succ %d" v)
+        (quads (G.succ expected v)) (quads (G.succ g' v));
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "pred %d" v)
+        (quads (G.pred expected v)) (quads (G.pred g' v)))
+    (G.nodes g);
+  check_bool "untouched edge shared" true
+    (List.nth (G.edges g') 2 == List.nth (G.edges g) 2);
+  check_bool "out of range" true
+    (match G.map_incident [ 4 ] relabel g with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "digraph"
     [
@@ -527,6 +636,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "empty zero" `Quick test_empty_zero;
           Alcotest.test_case "empty negative" `Quick test_empty_negative;
+          Alcotest.test_case "map_incident" `Quick test_map_incident;
           Alcotest.test_case "add_edge range" `Quick test_add_edge_out_of_range;
           Alcotest.test_case "succ/pred" `Quick test_succ_pred;
           Alcotest.test_case "insertion order" `Quick test_insertion_order;
@@ -600,6 +710,9 @@ let () =
           Alcotest.test_case "cycle edge variants cap" `Quick
             test_all_cycle_edges_cap;
           Alcotest.test_case "max ratio float" `Quick test_max_ratio_float_agrees;
+          test_max_ratio_matches_enumeration;
+          Alcotest.test_case "max ratio rejects non-positive denominators"
+            `Quick test_max_ratio_rejects_non_positive_denominator;
         ] );
       ( "dot",
         [

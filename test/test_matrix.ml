@@ -19,7 +19,7 @@ let test_everything () =
   let cells = ref 0 in
   List.iter
     (fun (wname, g) ->
-      let bound = Dataflow.Iteration_bound.exact_ceil ~max_cycles:50_000 g in
+      let bound = Dataflow.Iteration_bound.exact_ceil g in
       List.iter
         (fun (aname, topo) ->
           List.iter

@@ -83,7 +83,9 @@ let schedule_of_seed seed =
     let cb = Schedule.first_free_slot !s ~pe ~from ~span in
     s := Schedule.assign !s ~node:v ~cb ~pe
   done;
-  (* churn: remove a third of the nodes, re-place half of those *)
+  (* churn: remove a third of the nodes, re-place half of those; now and
+     then clear row 1 and shift the table up until row 1 is occupied
+     again, so the queries also run on shifted schedules *)
   for v = 0 to n - 1 do
     if next_rand 3 = 0 then begin
       s := Schedule.unassign !s v;
@@ -93,6 +95,21 @@ let schedule_of_seed seed =
         let cb = Schedule.first_free_slot !s ~pe ~from:1 ~span in
         s := Schedule.assign !s ~node:v ~cb ~pe
       end
+    end;
+    if next_rand 4 = 0 then begin
+      let row1 = Schedule.first_row !s in
+      s := Schedule.unassign_all !s row1;
+      while Schedule.n_assigned !s > 0 && Schedule.first_row !s = [] do
+        s := Schedule.shift_up !s
+      done;
+      List.iter
+        (fun u ->
+          let pe = next_rand np in
+          let span = Schedule.duration !s ~node:u ~pe in
+          let from = 1 + next_rand 3 in
+          let cb = Schedule.first_free_slot !s ~pe ~from ~span in
+          s := Schedule.assign !s ~node:u ~cb ~pe)
+        row1
     end
   done;
   !s

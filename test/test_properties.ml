@@ -80,6 +80,103 @@ let prop_rotation_keeps_legality =
       | [] -> QCheck.assume_fail ()
       | v :: _ -> Csdfg.is_legal (Retiming.rotate_set g [ v ]))
 
+(* [rotate_set] rewrites only the set's edges; the reference is the
+   whole-graph [apply] of the retiming it stands for.  Both must give the
+   same graph down to every edge order: [Retiming.infer], the export and
+   the golden schedules pair edges by position. *)
+let rotation_retiming g set =
+  let r = Retiming.identity g in
+  List.iter (fun v -> r.(v) <- 1) set;
+  r
+
+let same_csdfg a b =
+  let quad (e : Csdfg.attr Digraph.Graph.edge) =
+    (e.Digraph.Graph.src, e.Digraph.Graph.dst, Csdfg.delay e, Csdfg.volume e)
+  in
+  let quads l = List.map quad l in
+  Csdfg.name a = Csdfg.name b
+  && Csdfg.n_nodes a = Csdfg.n_nodes b
+  && List.for_all
+       (fun v ->
+         Csdfg.label a v = Csdfg.label b v
+         && Csdfg.time a v = Csdfg.time b v
+         && Csdfg.node_of_label a (Csdfg.label a v) = v
+         && quads (Csdfg.succ a v) = quads (Csdfg.succ b v)
+         && quads (Csdfg.pred a v) = quads (Csdfg.pred b v))
+       (Csdfg.nodes a)
+  && quads (Csdfg.edges a) = quads (Csdfg.edges b)
+
+(* A random graph, sometimes with a self-loop and a parallel edge added
+   (both with a delay, so the graph stays legal). *)
+let rotation_graph rng seed =
+  let params = { small_params with nodes = 8 + (seed mod 17) } in
+  let g = graph_of_seed ~params seed in
+  if Random.State.bool rng then g
+  else begin
+    let n = Csdfg.n_nodes g in
+    let graph = Csdfg.graph g in
+    let v = Random.State.int rng n in
+    let graph =
+      Digraph.Graph.add_edge graph ~src:v ~dst:v { Csdfg.delay = 1; volume = 2 }
+    in
+    let graph =
+      match Csdfg.edges g with
+      | e :: _ ->
+          Digraph.Graph.add_edge graph ~src:e.Digraph.Graph.src
+            ~dst:e.Digraph.Graph.dst
+            { Csdfg.delay = 1 + Random.State.int rng 2; volume = 1 }
+      | [] -> graph
+    in
+    Csdfg.of_graph ~name:(Csdfg.name g)
+      ~labels:(Array.init n (Csdfg.label g))
+      ~time:(Array.init n (Csdfg.time g))
+      graph
+  end
+
+let prop_rotate_set_matches_apply =
+  QCheck.Test.make ~count:150
+    ~name:"rotate_set = apply of its retiming, edge orders included" pair_arb
+    (fun (seed, sseed) ->
+      let rng = Random.State.make [| seed; sseed |] in
+      let g = rotation_graph rng seed in
+      let n = Csdfg.n_nodes g in
+      let random_set () =
+        List.filter (fun _ -> Random.State.int rng 3 = 0) (Csdfg.nodes g)
+        @ (if Random.State.bool rng then [ Random.State.int rng n ] else [])
+      in
+      let first_row s = Schedule.first_row (Schedule.normalize s) in
+      let compacted =
+        (Compaction.run_on ~passes:4 ~validate:false g (arch_of_seed sseed))
+          .Compaction.final
+      in
+      let cases =
+        [
+          (g, random_set ());
+          (g, random_set ());
+          (g, first_row (Startup.run_on g (arch_of_seed sseed)));
+          (Schedule.dfg compacted, first_row compacted);
+        ]
+      in
+      (* Each legal case is rotated three times in a row, incrementally
+         and by the reference, so rotated graphs feed further rotations. *)
+      let rec agree fast slow set k =
+        let legal = Retiming.is_legal slow (rotation_retiming slow set) in
+        if Retiming.can_rotate fast set <> legal then
+          QCheck.Test.fail_reportf "can_rotate disagrees with is_legal";
+        if not legal then
+          match Retiming.rotate_set fast set with
+          | _ -> QCheck.Test.fail_reportf "an illegal rotation did not raise"
+          | exception Invalid_argument _ -> true
+        else begin
+          let fast = Retiming.rotate_set fast set in
+          let slow = Retiming.apply slow (rotation_retiming slow set) in
+          if not (same_csdfg fast slow) then
+            QCheck.Test.fail_reportf "rotated graphs differ";
+          k = 0 || agree fast slow (random_set ()) (k - 1)
+        end
+      in
+      List.for_all (fun (g, set) -> agree g g set 2) cases)
+
 let prop_min_period_witness =
   QCheck.Test.make ~count:60
     ~name:"min_period witness is legal and achieves its period" seed_arb
@@ -182,6 +279,91 @@ let perturb rng s =
     let cb = Schedule.first_free_slot s' ~pe ~from:cb ~span in
     Schedule.assign s' ~node:v ~cb ~pe
   end
+
+(* The naive reference for [Validator.check]: the same rules over lists,
+   with all-pairs overlaps and every placement read through the
+   schedule's accessors. *)
+let reference_check s =
+  let dfg = Schedule.dfg s in
+  let nodes = Csdfg.nodes dfg in
+  match List.filter (fun v -> not (Schedule.is_assigned s v)) nodes with
+  | _ :: _ as missing ->
+      Error (List.map (fun v -> Validator.Unassigned v) missing)
+  | [] -> (
+      let len = Schedule.length s in
+      let out_of_table =
+        List.filter_map
+          (fun v ->
+            if Schedule.ce s v > len then Some (Validator.Out_of_table v)
+            else None)
+          nodes
+      in
+      let overlaps =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b ->
+                if
+                  a < b
+                  && Schedule.pe s a = Schedule.pe s b
+                  && Schedule.cb s a <= Schedule.ce s b
+                  && Schedule.cb s b <= Schedule.ce s a
+                then Some (Validator.Overlap (a, b))
+                else None)
+              nodes)
+          nodes
+      in
+      let dependences =
+        List.filter_map
+          (fun (e : Csdfg.attr Digraph.Graph.edge) ->
+            let u = e.Digraph.Graph.src and v = e.Digraph.Graph.dst in
+            let have = Schedule.cb s v + (Csdfg.delay e * len) in
+            let want = Schedule.ce s u + Cyclo.Timing.edge_cost s e + 1 in
+            if have < want then Some (Validator.Dependence (e, want - have))
+            else None)
+          (Csdfg.edges dfg)
+      in
+      match out_of_table @ overlaps @ dependences with
+      | [] -> Ok ()
+      | l -> Error l)
+
+let prop_check_equals_reference =
+  QCheck.Test.make ~count:150
+    ~name:"check = naive reference on perturbed, shifted, partial schedules"
+    pair_arb (fun (gseed, aseed) ->
+      let rng = Random.State.make [| aseed; gseed |] in
+      let g = graph_of_seed gseed in
+      let topo = arch_of_seed aseed in
+      let np = Topology.n_processors topo in
+      let speeds =
+        if Random.State.bool rng then None
+        else Some (Array.init np (fun _ -> 1 + Random.State.int rng 3))
+      in
+      let s =
+        if Random.State.bool rng then
+          Startup.run ?speeds g (Comm.of_topology topo)
+        else
+          (Compaction.run ?speeds ~passes:(1 + Random.State.int rng 5)
+             ~validate:false g (Comm.of_topology topo))
+            .Compaction.final
+      in
+      let rec churn s k =
+        if k = 0 then s
+        else
+          let v = Random.State.int rng (Csdfg.n_nodes g) in
+          let s =
+            match Random.State.int rng 4 with
+            | 0 when Schedule.is_assigned s v -> Schedule.unassign s v
+            | 1 -> Schedule.normalize s
+            | _ -> (
+                (* a move onto an unassigned node, or onto a slot too
+                   short on a slower processor, keeps [s] *)
+                try perturb rng s with Invalid_argument _ -> s)
+          in
+          churn s (k - 1)
+      in
+      let s = churn s (Random.State.int rng 5) in
+      Validator.check s = reference_check s)
 
 let prop_check_equals_simulate_on_perturbed =
   QCheck.Test.make ~count:120
@@ -382,6 +564,7 @@ let () =
         [
           prop_rotation_preserves_cycle_delays;
           prop_rotation_keeps_legality;
+          prop_rotate_set_matches_apply;
           prop_min_period_witness;
           prop_iteration_bound_methods_agree;
         ];
@@ -394,7 +577,11 @@ let () =
           prop_compaction_respects_iteration_bound;
           prop_every_intermediate_state_legal;
         ];
-      suite "oracle" [ prop_check_equals_simulate_on_perturbed ];
+      suite "oracle"
+        [
+          prop_check_equals_simulate_on_perturbed;
+          prop_check_equals_reference;
+        ];
       suite "transform"
         [
           prop_io_roundtrip;

@@ -588,12 +588,26 @@ let with_server ?(config = fun c -> c) f =
       end
   in
   wait 1000;
-  Fun.protect
-    ~finally:(fun () ->
-      match Domain.join srv with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail msg)
-    (fun () -> f path)
+  let join () =
+    match Domain.join srv with Ok () -> () | Error msg -> Alcotest.fail msg
+  in
+  match f path with
+  | v ->
+      join ();
+      v
+  | exception e ->
+      (* The test raised before sending its own shutdown, so the join
+         would wait forever: send one (the server may already be gone),
+         then join and re-raise the test's failure. *)
+      let bt = Printexc.get_raw_backtrace () in
+      (match Service.Client.connect path with
+      | Ok c ->
+          ignore
+            (Service.Client.rpc_line c (P.request_to_json ~id:0 P.Shutdown));
+          Service.Client.close c
+      | Error _ -> ());
+      (try join () with _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let connect_exn path =
   match Service.Client.connect path with
@@ -604,6 +618,13 @@ let rpc_exn c line =
   match Service.Client.rpc_line c line with
   | Ok reply -> reply
   | Error e -> Alcotest.fail (Service.Client.error_to_string e)
+
+let test_with_server_failure_returns () =
+  let t0 = Unix.gettimeofday () in
+  (match with_server (fun _ -> failwith "boom") with
+  | () -> Alcotest.fail "the test's failure was swallowed"
+  | exception Failure msg -> check_str "the test's own failure" "boom" msg);
+  check_bool "returned within seconds" true (Unix.gettimeofday () -. t0 < 10.)
 
 let test_socket_round_trip () =
   with_server @@ fun path ->
@@ -1498,6 +1519,36 @@ let test_statefile_skips_unreplayable_record () =
         (records = [ sched; replan ])
   | Error msg -> Alcotest.fail msg
 
+(* Framing a record costs a small multiple of its size: the payload is
+   built once in a presized buffer, checksummed without boxing, and
+   written after its header rather than copied into a frame. *)
+let test_statefile_append_allocation () =
+  with_state_dir @@ fun dir ->
+  let slot = "{\"node\":\"n12345\",\"pe\":3,\"cb\":42}," in
+  let copies = ((10 lsl 20) / String.length slot) + 1 in
+  let schedule = String.concat "" (List.init copies (fun _ -> slot)) in
+  let record =
+    match sample_records () with
+    | Statefile.Sched s :: _ ->
+        Statefile.Sched { s with Statefile.s_schedule_json = schedule }
+    | _ -> Alcotest.fail "a sample schedule record"
+  in
+  let framed = String.length (Statefile.encode_record record) in
+  check_bool "a record of 10 MB or more" true (framed >= 10 lsl 20);
+  match Statefile.open_ ~dir with
+  | Ok (t, _, _) ->
+      let before = Gc.allocated_bytes () in
+      Statefile.append t record;
+      let allocated = Gc.allocated_bytes () -. before in
+      Statefile.close t;
+      check "appended" 1 (Statefile.appended t);
+      check_bool
+        (Printf.sprintf "allocated %.0f bytes for a %d-byte frame" allocated
+           framed)
+        true
+        (allocated <= 3. *. float_of_int framed)
+  | Error msg -> Alcotest.fail msg
+
 (* Labels may hold any byte but space, tab and newline; control bytes
    stay escaped in the export and in daemon replies. *)
 let test_control_bytes_stay_escaped () =
@@ -1704,6 +1755,8 @@ let () =
             test_socket_refused_once;
           Alcotest.test_case "stalled refused client dropped" `Quick
             test_socket_refused_stalled;
+          Alcotest.test_case "failing test stops the server" `Quick
+            test_with_server_failure_returns;
         ] );
       ( "deadline",
         [
@@ -1732,6 +1785,8 @@ let () =
             test_journal_drops_deadline;
           Alcotest.test_case "unreplayable record skipped" `Quick
             test_statefile_skips_unreplayable_record;
+          Alcotest.test_case "append allocation bounded" `Quick
+            test_statefile_append_allocation;
         ] );
       ( "warm-restart",
         [
