@@ -18,13 +18,7 @@ type t = {
 (* Static level: longest zero-delay path starting at each node,
    including its own time — computed backwards over a topological
    order. *)
-let compute_levels dfg =
-  let dag = Csdfg.zero_delay_graph dfg in
-  let order =
-    match Digraph.Topo.sort dag with
-    | Some o -> o
-    | None -> invalid_arg "Priority.create: zero-delay subgraph is cyclic"
-  in
+let compute_levels dfg ~dag ~order =
   let levels = Array.make (Csdfg.n_nodes dfg) 0 in
   List.iter
     (fun v ->
@@ -37,12 +31,18 @@ let compute_levels dfg =
     (List.rev order);
   levels
 
-let create dfg =
+let of_dag dfg ~dag ~order =
   {
     dfg;
-    analysis = Dataflow.Analysis.compute dfg;
-    levels = compute_levels dfg;
+    analysis = Dataflow.Analysis.of_dag dfg ~dag ~order;
+    levels = compute_levels dfg ~dag ~order;
   }
+
+let create dfg =
+  let dag = Csdfg.zero_delay_graph dfg in
+  match Digraph.Topo.sort dag with
+  | Some order -> of_dag dfg ~dag ~order
+  | None -> invalid_arg "Priority.create: zero-delay subgraph is cyclic"
 
 let analysis t = t.analysis
 let mobility t v = Dataflow.Analysis.mobility t.analysis v

@@ -23,7 +23,16 @@ type strategy =
 val pp_strategy : Format.formatter -> strategy -> unit
 
 val create : Dataflow.Csdfg.t -> t
-(** Precomputes ASAP/ALAP and static levels on the zero-delay sub-DAG. *)
+(** Precomputes ASAP/ALAP and static levels on the zero-delay sub-DAG.
+    @raise Invalid_argument when that subgraph is cyclic. *)
+
+val of_dag :
+  Dataflow.Csdfg.t ->
+  dag:Dataflow.Csdfg.attr Digraph.Graph.t ->
+  order:int list ->
+  t
+(** {!create} over a zero-delay sub-DAG and a topological order of it that
+    the caller already holds, so both analyses share one copy. *)
 
 val static_level : t -> int -> int
 (** Longest zero-delay path starting at the node, including its own

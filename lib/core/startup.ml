@@ -47,11 +47,14 @@ let setup_for dfg =
       (match Csdfg.validate dfg with
       | Ok () -> ()
       | Error _ -> invalid_arg "Startup.run: illegal CSDFG");
+      (* One zero-delay DAG and one topological order serve ASAP/ALAP,
+         the static levels and the sweep. *)
       let dag = Csdfg.zero_delay_graph dfg in
+      let order = Digraph.Topo.sort_exn dag in
       let s =
         {
           graph = dfg;
-          priority = Priority.create dfg;
+          priority = Priority.of_dag dfg ~dag ~order;
           dag;
           in_degrees = Array.init (Csdfg.n_nodes dfg) (G.in_degree dag);
         }

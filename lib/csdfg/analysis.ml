@@ -2,13 +2,7 @@ module G = Digraph.Graph
 
 type t = { asap : int array; alap : int array; critical_path : int }
 
-let compute g =
-  let dag = Csdfg.zero_delay_graph g in
-  let order =
-    match Digraph.Topo.sort dag with
-    | Some o -> o
-    | None -> invalid_arg "Analysis.compute: zero-delay subgraph is cyclic"
-  in
+let of_dag g ~dag ~order =
   let n = Csdfg.n_nodes g in
   let asap = Array.make n 1 in
   List.iter
@@ -38,6 +32,12 @@ let compute g =
         (G.pred dag v))
     (List.rev order);
   { asap; alap; critical_path }
+
+let compute g =
+  let dag = Csdfg.zero_delay_graph g in
+  match Digraph.Topo.sort dag with
+  | Some order -> of_dag g ~dag ~order
+  | None -> invalid_arg "Analysis.compute: zero-delay subgraph is cyclic"
 
 let mobility t v = t.alap.(v) - t.asap.(v)
 let is_critical t v = mobility t v = 0

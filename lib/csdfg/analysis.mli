@@ -12,8 +12,15 @@ type t = {
 }
 
 val compute : Csdfg.t -> t
-(** @raise Invalid_argument when the zero-delay subgraph is cyclic
+(** Builds the zero-delay sub-DAG and its topological order, then
+    {!of_dag}.
+    @raise Invalid_argument when the zero-delay subgraph is cyclic
     (illegal CSDFG). *)
+
+val of_dag :
+  Csdfg.t -> dag:Csdfg.attr Digraph.Graph.t -> order:int list -> t
+(** {!compute} over a zero-delay sub-DAG ({!Csdfg.zero_delay_graph}) and a
+    topological order of it that the caller already holds. *)
 
 val mobility : t -> int -> int
 (** [alap - asap >= 0]; 0 on critical nodes. *)

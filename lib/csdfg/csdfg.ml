@@ -70,11 +70,13 @@ let make ~name ~nodes ~edges =
     | None -> invalid_arg (Printf.sprintf "Csdfg.make: unknown node label %S" lbl)
   in
   let graph =
-    List.fold_left
-      (fun g (src, dst, delay, volume) ->
-        G.add_edge g ~src:(resolve src) ~dst:(resolve dst) { delay; volume })
-      (G.empty (Array.length labels))
-      edges
+    G.create ~n:(Array.length labels)
+      (List.map
+         (fun (src, dst, delay, volume) ->
+           let src = resolve src in
+           let dst = resolve dst in
+           { G.src; dst; label = { delay; volume } })
+         edges)
   in
   check_weights graph time;
   { name; graph; time; labels; index }

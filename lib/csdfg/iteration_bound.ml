@@ -11,10 +11,6 @@ let exact_ceil g =
   | None -> None
   | Some (t, d) -> Some ((t + d - 1) / d)
 
-let approx ?epsilon g =
-  Digraph.Karp.maximum_cycle_ratio_float ?epsilon (Csdfg.graph g) ~num:(num g)
-    ~den
-
 let critical_cycles ?max_cycles g =
   match exact g with
   | None -> []

@@ -15,9 +15,6 @@ val exact_ceil : Csdfg.t -> int option
 (** [ceil] of {!exact} — the smallest integer schedule length per
     iteration permitted by the loop-carried dependencies. *)
 
-val approx : ?epsilon:float -> Csdfg.t -> float option
-(** Binary-search estimate that scales to large graphs. *)
-
 val critical_cycles : ?max_cycles:int -> Csdfg.t -> int list list
 (** All elementary cycles attaining the bound, from an enumeration
     bounded by [max_cycles] (see {!Digraph.Cycles.elementary}); the

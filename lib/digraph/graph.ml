@@ -1,16 +1,14 @@
 type 'e edge = { src : int; dst : int; label : 'e }
 
-module Imap = Map.Make (Int)
-
 type 'e t = {
   n : int;
   m : int;
-  (* Edge lists are kept reversed internally and re-reversed on read, so
-     that insertion stays O(log n) while the public order is insertion
-     order. *)
-  out_rev : 'e edge list Imap.t;
-  in_rev : 'e edge list Imap.t;
-  all_rev : 'e edge list;
+  (* Every edge list is stored once, in insertion order: each node's out-
+     and in-edges in two arrays, all edges in one list.  Reads return the
+     stored lists; every update builds a new graph. *)
+  out_adj : 'e edge list array;
+  in_adj : 'e edge list array;
+  all : 'e edge list;
 }
 
 let check_node g v ctx =
@@ -19,41 +17,44 @@ let check_node g v ctx =
 
 let empty n =
   if n < 0 then invalid_arg "Digraph.Graph.empty: negative node count";
-  { n; m = 0; out_rev = Imap.empty; in_rev = Imap.empty; all_rev = [] }
+  { n; m = 0; out_adj = Array.make n []; in_adj = Array.make n []; all = [] }
 
 let n_nodes g = g.n
 let n_edges g = g.m
 let nodes g = List.init g.n Fun.id
 
+let create ~n edges =
+  let g = empty n in
+  let m =
+    List.fold_left
+      (fun m e ->
+        check_node g e.src "create";
+        check_node g e.dst "create";
+        m + 1)
+      0 edges
+  in
+  (* Consing from the last edge back leaves every list in insertion order. *)
+  List.iter
+    (fun e ->
+      g.out_adj.(e.src) <- e :: g.out_adj.(e.src);
+      g.in_adj.(e.dst) <- e :: g.in_adj.(e.dst))
+    (List.rev edges);
+  { g with m; all = edges }
+
 let add_edge g ~src ~dst label =
   check_node g src "add_edge";
   check_node g dst "add_edge";
-  let e = { src; dst; label } in
-  let cons = function None -> Some [ e ] | Some l -> Some (e :: l) in
-  {
-    g with
-    m = g.m + 1;
-    out_rev = Imap.update src cons g.out_rev;
-    in_rev = Imap.update dst cons g.in_rev;
-    all_rev = e :: g.all_rev;
-  }
+  create ~n:g.n (g.all @ [ { src; dst; label } ])
 
-let create ~n edges =
-  let g = empty n in
-  List.fold_left (fun g e -> add_edge g ~src:e.src ~dst:e.dst e.label) g edges
-
-let edges g = List.rev g.all_rev
-
-let raw map v = Option.value ~default:[] (Imap.find_opt v map)
-let adjacency map v = List.rev (raw map v)
+let edges g = g.all
 
 let succ g v =
   check_node g v "succ";
-  adjacency g.out_rev v
+  g.out_adj.(v)
 
 let pred g v =
   check_node g v "pred";
-  adjacency g.in_rev v
+  g.in_adj.(v)
 
 let distinct_sorted l = List.sort_uniq compare l
 let succ_nodes g v = distinct_sorted (List.map (fun e -> e.dst) (succ g v))
@@ -64,52 +65,44 @@ let find_edges g ~src ~dst = List.filter (fun e -> e.dst = dst) (succ g src)
 let mem_edge g ~src ~dst = find_edges g ~src ~dst <> []
 
 let map_labels f g =
-  create ~n:g.n (List.map (fun e -> { e with label = f e }) (edges g))
+  create ~n:g.n (List.map (fun e -> { e with label = f e }) g.all)
 
-module Iset = Set.Make (Int)
-
-(* Only the adjacency lists of [nodes] and of their neighbours hold an
-   edge incident to [nodes]; every other list, and every untouched edge
-   record, is shared with [g].  The all-edges list is re-consed once. *)
+(* Only the lists of [nodes] and of their neighbours hold an edge
+   incident to [nodes]; each is rewritten once, from [g]'s copy, and every
+   other list and every untouched edge record is shared with [g].  A
+   rewritten list is a fresh one, so [!=] to [g]'s marks it done (an empty
+   list is never incident, so its rewrite is a no-op). *)
 let map_incident nodes f g =
   List.iter (fun v -> check_node g v "map_incident") nodes;
-  let set = Iset.of_list nodes in
-  let incident e = Iset.mem e.src set || Iset.mem e.dst set in
-  let relabel e = if incident e then { e with label = f e } else e in
-  let rewrite owners map =
-    Iset.fold
-      (fun v map ->
-        match Imap.find_opt v map with
-        | Some l -> Imap.add v (List.map relabel l) map
-        | None -> map)
-      owners map
+  let member = Array.make g.n false in
+  List.iter (fun v -> member.(v) <- true) nodes;
+  let relabel e =
+    if member.(e.src) || member.(e.dst) then { e with label = f e } else e
   in
-  let sources, targets =
-    Iset.fold
-      (fun v acc ->
-        let add_both acc e =
-          (Iset.add e.src (fst acc), Iset.add e.dst (snd acc))
-        in
-        let acc = List.fold_left add_both acc (raw g.out_rev v) in
-        List.fold_left add_both acc (raw g.in_rev v))
-      set (Iset.empty, Iset.empty)
+  let out_adj = Array.copy g.out_adj and in_adj = Array.copy g.in_adj in
+  let rewrite adj adj' v =
+    if adj'.(v) == adj.(v) then adj'.(v) <- List.map relabel adj.(v)
   in
-  {
-    g with
-    out_rev = rewrite sources g.out_rev;
-    in_rev = rewrite targets g.in_rev;
-    all_rev = List.map relabel g.all_rev;
-  }
+  let touch e =
+    rewrite g.out_adj out_adj e.src;
+    rewrite g.in_adj in_adj e.dst
+  in
+  List.iter
+    (fun v ->
+      List.iter touch g.out_adj.(v);
+      List.iter touch g.in_adj.(v))
+    nodes;
+  { g with out_adj; in_adj; all = List.map relabel g.all }
 
-let filter_edges keep g = create ~n:g.n (List.filter keep (edges g))
-let fold_edges f init g = List.fold_left f init (edges g)
-let iter_edges f g = List.iter f (edges g)
+let filter_edges keep g = create ~n:g.n (List.filter keep g.all)
+let fold_edges f init g = List.fold_left f init g.all
+let iter_edges f g = List.iter f g.all
 
 let transpose g =
   create ~n:g.n
-    (List.map (fun e -> { src = e.dst; dst = e.src; label = e.label }) (edges g))
+    (List.map (fun e -> { src = e.dst; dst = e.src; label = e.label }) g.all)
 
-let self_loops g = List.filter (fun e -> e.src = e.dst) (edges g)
+let self_loops g = List.filter (fun e -> e.src = e.dst) g.all
 
 let equal eq_label a b =
   let key e = (e.src, e.dst) in

@@ -3,7 +3,15 @@
     Nodes are dense integers fixed at creation time; edges carry an
     arbitrary label ['e] and are kept in insertion order.  The structure is
     persistent: every update returns a new graph, which keeps the scheduling
-    algorithms (which explore many tentative graphs) simple and safe. *)
+    algorithms (which explore many tentative graphs) simple and safe.
+
+    Costs, for [n] nodes and [m] edges: each node's out- and in-edges and
+    the list of all edges are stored once, in insertion order, so
+    {!succ}, {!pred} and {!edges} are O(1) and allocate nothing, and
+    {!iter_edges} and {!fold_edges} walk the stored list without copying
+    it.  {!create} and every update that rebuilds ({!add_edge},
+    {!map_labels}, {!filter_edges}, {!transpose}) are O(n + m);
+    {!map_incident} is O(n + deg + m). *)
 
 type 'e edge = {
   src : int;  (** source node *)
@@ -18,7 +26,8 @@ val empty : int -> 'e t
     @raise Invalid_argument if [n < 0]. *)
 
 val create : n:int -> 'e edge list -> 'e t
-(** [create ~n edges] builds a graph with [n] nodes and the given edges.
+(** [create ~n edges] builds a graph with [n] nodes and the given edges,
+    in O(n + m).  The edge records are shared, not copied.
     @raise Invalid_argument if an endpoint is outside [0 .. n-1]. *)
 
 val n_nodes : 'e t -> int
@@ -28,16 +37,20 @@ val nodes : 'e t -> int list
 (** [nodes g] is [0; 1; ...; n-1]. *)
 
 val add_edge : 'e t -> src:int -> dst:int -> 'e -> 'e t
-(** @raise Invalid_argument if an endpoint is out of range. *)
+(** Appends one edge.  A rebuild, O(n + m): a graph of many edges is built
+    with one {!create}, not a chain of [add_edge].
+    @raise Invalid_argument if an endpoint is out of range. *)
 
 val edges : 'e t -> 'e edge list
-(** All edges in insertion order. *)
+(** All edges in insertion order: the stored list, O(1). *)
 
 val succ : 'e t -> int -> 'e edge list
-(** Outgoing edges of a node, in insertion order. *)
+(** Outgoing edges of a node, in insertion order: the stored list, O(1).
+    @raise Invalid_argument if the node is out of range. *)
 
 val pred : 'e t -> int -> 'e edge list
-(** Incoming edges of a node, in insertion order. *)
+(** Incoming edges of a node, in insertion order: the stored list, O(1).
+    @raise Invalid_argument if the node is out of range. *)
 
 val succ_nodes : 'e t -> int -> int list
 (** Distinct successor nodes, ascending. *)
@@ -59,8 +72,10 @@ val map_labels : ('e edge -> 'f) -> 'e t -> 'f t
 val map_incident : int list -> ('e edge -> 'e) -> 'e t -> 'e t
 (** [map_incident nodes f g] relabels every edge with an endpoint in
     [nodes] to [f e] and keeps every other edge; all edge orders are
-    unchanged.  Costs the degree of [nodes] and of their neighbours plus
-    one pass over the edge list, instead of {!map_labels}' rebuild; [f]
+    unchanged.  O(n + deg + m): one copy of the two adjacency arrays, the
+    lists of [nodes] and of their neighbours ([deg] edges in all), and one
+    pass over the edge list, instead of {!map_labels}' rebuild.  Every
+    other list and every untouched edge record is shared with [g]; [f]
     may be called more than once per edge.
     @raise Invalid_argument if a node is out of range. *)
 

@@ -1,53 +1,3 @@
-let inf = infinity
-
-(* Karp's algorithm on one strongly connected subgraph given by [comp]. *)
-let karp_on_component g ~weight comp =
-  let n = Graph.n_nodes g in
-  let in_comp = Array.make n false in
-  List.iter (fun v -> in_comp.(v) <- true) comp;
-  let k_max = List.length comp in
-  (* d.(k).(v) = minimum weight of a k-edge walk inside the component
-     ending at v, starting anywhere in the component. *)
-  let d = Array.make_matrix (k_max + 1) n inf in
-  List.iter (fun v -> d.(0).(v) <- 0.) comp;
-  for k = 1 to k_max do
-    let relax e =
-      let u = e.Graph.src and v = e.Graph.dst in
-      if in_comp.(u) && in_comp.(v) && d.(k - 1).(u) < inf then begin
-        let w = d.(k - 1).(u) +. float_of_int (weight e) in
-        if w < d.(k).(v) then d.(k).(v) <- w
-      end
-    in
-    Graph.iter_edges relax g
-  done;
-  let best = ref inf in
-  let consider v =
-    if d.(k_max).(v) < inf then begin
-      let worst = ref neg_infinity in
-      for k = 0 to k_max - 1 do
-        if d.(k).(v) < inf then begin
-          let mean = (d.(k_max).(v) -. d.(k).(v)) /. float_of_int (k_max - k) in
-          if mean > !worst then worst := mean
-        end
-      done;
-      if !worst > neg_infinity && !worst < !best then best := !worst
-    end
-  in
-  List.iter consider comp;
-  !best
-
-let minimum_cycle_mean g ~weight =
-  let sccs = Scc.nontrivial g in
-  if sccs = [] then None
-  else begin
-    let best =
-      List.fold_left
-        (fun acc comp -> min acc (karp_on_component g ~weight comp))
-        inf sccs
-    in
-    if best < inf then Some best else None
-  end
-
 (* Parametric search for the maximum cycle ratio (Lawler's method with
    an exact integer test).  Given a current ratio [p/q], a cycle [C] has
    a larger ratio exactly when [q * num C - p * den C > 0], so a
@@ -133,40 +83,3 @@ let maximum_cycle_ratio g ~num ~den =
         invalid_arg
           "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator";
       None
-
-(* Bellman-Ford over float weights seeded everywhere at 0; true when a
-   negative cycle exists for weight (lambda * den - num), i.e. when some
-   cycle has ratio > lambda. *)
-let exists_cycle_above g ~num ~den lambda =
-  let n = Graph.n_nodes g in
-  let dist = Array.make n 0. in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= n do
-    changed := false;
-    incr rounds;
-    let relax e =
-      let w = (lambda *. float_of_int (den e)) -. float_of_int (num e) in
-      let d = dist.(e.Graph.src) +. w in
-      if d < dist.(e.Graph.dst) -. 1e-12 then begin
-        dist.(e.Graph.dst) <- d;
-        changed := true
-      end
-    in
-    Graph.iter_edges relax g
-  done;
-  !changed
-
-let maximum_cycle_ratio_float ?(epsilon = 1e-9) g ~num ~den =
-  if not (Cycles.has_cycle g) then None
-  else begin
-    let hi0 =
-      Graph.fold_edges (fun acc e -> acc +. float_of_int (abs (num e))) 1. g
-    in
-    let lo = ref 0. and hi = ref hi0 in
-    while !hi -. !lo > epsilon do
-      let mid = (!lo +. !hi) /. 2. in
-      if exists_cycle_above g ~num ~den mid then lo := mid else hi := mid
-    done;
-    Some ((!lo +. !hi) /. 2.)
-  end

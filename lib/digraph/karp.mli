@@ -1,13 +1,8 @@
-(** Cycle means and cycle ratios.
+(** Cycle ratios.
 
-    [minimum_cycle_mean] is Karp's classic algorithm.  [maximum_cycle_ratio]
-    computes [max over cycles (sum num / sum den)] — with numerator = node
-    computation time and denominator = edge delay this is exactly the
-    iteration bound of a data-flow graph. *)
-
-val minimum_cycle_mean :
-  'e Graph.t -> weight:('e Graph.edge -> int) -> float option
-(** Karp's minimum mean over all cycles; [None] for an acyclic graph. *)
+    [maximum_cycle_ratio] computes [max over cycles (sum num / sum den)] —
+    with numerator = node computation time and denominator = edge delay
+    this is exactly the iteration bound of a data-flow graph. *)
 
 val maximum_cycle_ratio :
   'e Graph.t ->
@@ -28,13 +23,3 @@ val maximum_cycle_ratio :
     @raise Invalid_argument when the search meets a cycle whose
     denominator sum is <= 0 — with positive numerators (node times, as
     for the iteration bound) every such cycle is met. *)
-
-val maximum_cycle_ratio_float :
-  ?epsilon:float ->
-  'e Graph.t ->
-  num:('e Graph.edge -> int) ->
-  den:('e Graph.edge -> int) ->
-  float option
-(** Same quantity via binary search with Bellman–Ford feasibility tests
-    (scales to large graphs); accurate to [epsilon] (default 1e-9).
-    Requires non-negative denominators with every cycle's sum positive. *)

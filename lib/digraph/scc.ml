@@ -85,13 +85,13 @@ let condensation g =
   let owner = component_of g in
   let k = List.length (components g) in
   let seen = Hashtbl.create 16 in
-  let dag = ref (Graph.empty k) in
+  let edges = ref [] in
   let add e =
     let a = owner.(e.Graph.src) and b = owner.(e.Graph.dst) in
     if a <> b && not (Hashtbl.mem seen (a, b)) then begin
       Hashtbl.add seen (a, b) ();
-      dag := Graph.add_edge !dag ~src:a ~dst:b ()
+      edges := { Graph.src = a; dst = b; label = () } :: !edges
     end
   in
   Graph.iter_edges add g;
-  !dag
+  Graph.create ~n:k (List.rev !edges)

@@ -302,6 +302,12 @@ let pp_distance_matrix ppf t =
     t.dist;
   Fmt.pf ppf "@]"
 
+(* Building a machine costs about P^2 log P (all-pairs distances), so a
+   spec from outside is capped.  The largest machine the repo ships has 16
+   processors; under the cap, the densest, complete:256, takes about 0.2 s
+   to build (on a 2-vCPU VM, with fig7 scheduled on it). *)
+let max_processors = 256
+
 (* The CLI / RPC architecture spelling ("mesh:2x4", "ring:8", ...).
    Lives here rather than in the front end so the one-shot CLI and the
    ccsched-rpc service parse requests with the same code path. *)
@@ -313,6 +319,13 @@ let of_spec spec =
           torus:RxC hypercube:D star:N tree:N"
          spec)
   in
+  let capped ps make =
+    if ps > max_processors then
+      Error
+        (Printf.sprintf "architecture %S has more than %d processors" spec
+           max_processors)
+    else Ok (make ())
+  in
   match String.split_on_char ':' spec with
   | [ kind; dims ] -> (
       let dim2 () =
@@ -323,28 +336,38 @@ let of_spec spec =
             | _ -> None)
         | _ -> None
       in
+      (* Each dimension is checked against the cap before the product is
+         taken, so the count cannot overflow. *)
+      let grid make =
+        match dim2 () with
+        | Some (r, c) ->
+            let ps =
+              if r > max_processors || c > max_processors then max_int
+              else r * c
+            in
+            capped ps (fun () -> make ~rows:r ~cols:c)
+        | None -> fail ()
+      in
       match kind with
-      | "mesh" -> (
-          match dim2 () with
-          | Some (r, c) -> Ok (mesh ~rows:r ~cols:c)
-          | None -> fail ())
-      | "torus" -> (
-          match dim2 () with
-          | Some (r, c) -> Ok (torus ~rows:r ~cols:c)
-          | None -> fail ())
+      | "mesh" -> grid mesh
+      | "torus" -> grid torus
       | _ -> (
           match int_of_string_opt dims with
           | None -> fail ()
           | Some n -> (
               if n < 1 then fail ()
               else
+                let sized make = capped n (fun () -> make n) in
                 match kind with
-                | "linear" -> Ok (linear_array n)
-                | "ring" -> Ok (ring n)
-                | "complete" -> Ok (complete n)
+                | "linear" -> sized linear_array
+                | "ring" -> sized ring
+                | "complete" -> sized complete
                 | "hypercube" | "cube" ->
-                    if n > 16 then fail () else Ok (hypercube n)
-                | "star" -> if n < 2 then fail () else Ok (star n)
-                | "tree" -> Ok (binary_tree n)
+                    let ps =
+                      if n < Sys.int_size - 1 then 1 lsl n else max_int
+                    in
+                    capped ps (fun () -> hypercube n)
+                | "star" -> if n < 2 then fail () else sized star
+                | "tree" -> sized binary_tree
                 | _ -> fail ())))
   | _ -> fail ()

@@ -115,9 +115,14 @@ val is_isomorphic_layout : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_distance_matrix : Format.formatter -> t -> unit
 
+val max_processors : int
+(** 256: the most processors {!of_spec} builds. *)
+
 val of_spec : string -> (t, string) result
 (** Parse the command-line / RPC architecture spelling: [linear:N]
     [ring:N] [complete:N] [mesh:RxC] [torus:RxC] [hypercube:D] [star:N]
     [tree:N].  [Error] carries a usage message listing the accepted
-    forms; out-of-range dimensions (a 0-processor ring, a 17-cube) are
-    rejected rather than raised. *)
+    forms; out-of-range dimensions (a 0-processor ring) are rejected
+    rather than raised, and so is any machine of more than
+    {!max_processors} processors ([complete:257], [hypercube:9],
+    [mesh:300x1]), before anything is built. *)

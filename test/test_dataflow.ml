@@ -276,10 +276,17 @@ let test_iteration_bound_fig1b () =
       check_bool "bound = 3" true (t = 3 * d);
       check "ceil" 3 (Option.get (Dataflow.Iteration_bound.exact_ceil fig1b))
 
-let test_iteration_bound_approx_agrees () =
-  match Dataflow.Iteration_bound.approx fig1b with
-  | None -> Alcotest.fail "cyclic"
-  | Some r -> Alcotest.(check (float 1e-5)) "approx" 3.0 r
+(* A bound that is not an integer: A -> B -> A, times 2 and 3, over two
+   delays is 5/2, and the smallest schedule length it permits is 3. *)
+let test_iteration_bound_fractional () =
+  let g =
+    Csdfg.make ~name:"half" ~nodes:[ ("A", 2); ("B", 3) ]
+      ~edges:[ ("A", "B", 1, 1); ("B", "A", 1, 1) ]
+  in
+  (match Dataflow.Iteration_bound.exact g with
+  | Some (t, d) -> check_bool "bound = 5/2" true (2 * t = 5 * d)
+  | None -> Alcotest.fail "the loop is cyclic");
+  check "ceil" 3 (Option.get (Dataflow.Iteration_bound.exact_ceil g))
 
 let test_iteration_bound_acyclic () =
   let dag =
@@ -480,7 +487,8 @@ let () =
       ( "iteration-bound",
         [
           Alcotest.test_case "fig1b" `Quick test_iteration_bound_fig1b;
-          Alcotest.test_case "approx agrees" `Quick test_iteration_bound_approx_agrees;
+          Alcotest.test_case "fractional bound" `Quick
+            test_iteration_bound_fractional;
           Alcotest.test_case "acyclic" `Quick test_iteration_bound_acyclic;
           Alcotest.test_case "critical cycles" `Quick test_critical_cycles;
           Alcotest.test_case "exact at 1000 nodes" `Quick

@@ -360,18 +360,11 @@ let test_fold_cycle_weight () =
 (* Karp                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_mcm_simple () =
-  (* Cycle 0-1 with weights 2 and 4 -> mean 3; self loop at 2 weight 1. *)
-  let g = G.create ~n:3 [ edge 0 1 2; edge 1 0 4; edge 2 2 1 ] in
-  match Digraph.Karp.minimum_cycle_mean g ~weight:(fun e -> e.G.label) with
-  | None -> Alcotest.fail "graph has cycles"
-  | Some m -> Alcotest.(check (float 1e-9)) "min mean is the self loop" 1.0 m
-
-let test_mcm_acyclic () =
+let test_max_ratio_acyclic () =
   check_bool "acyclic -> None" true
-    (Digraph.Karp.minimum_cycle_mean
+    (Digraph.Karp.maximum_cycle_ratio
        (G.map_labels (fun _ -> 1) (diamond ()))
-       ~weight:(fun e -> e.G.label)
+       ~num:(fun e -> e.G.label) ~den:(fun e -> e.G.label)
     = None)
 
 let test_max_ratio () =
@@ -416,22 +409,6 @@ let test_all_cycle_edges_cap () =
   check "full product" 6 (List.length (Digraph.Cycles.all_cycle_edges g [ 0; 1 ]));
   check "capped" 4
     (List.length (Digraph.Cycles.all_cycle_edges ~max_variants:4 g [ 0; 1 ]))
-
-let test_max_ratio_float_agrees () =
-  let g =
-    G.create ~n:4
-      [
-        edge 0 1 (5, 1); edge 1 0 (0, 0);
-        edge 2 3 (4, 1); edge 3 2 (0, 1);
-      ]
-  in
-  match
-    Digraph.Karp.maximum_cycle_ratio_float g
-      ~num:(fun e -> fst e.G.label)
-      ~den:(fun e -> snd e.G.label)
-  with
-  | None -> Alcotest.fail "has cycles"
-  | Some r -> Alcotest.(check (float 1e-5)) "approx 5" 5.0 r
 
 (* ------------------------------------------------------------------ *)
 (* Dot                                                                  *)
@@ -479,45 +456,15 @@ let test_bellman_ford_unreachable () =
   | Some d -> check "unreachable sentinel" Digraph.Paths.unreachable d.(2)
 
 let test_karp_multigraph_self_loops () =
-  (* two parallel self-loops: min mean is the cheaper one *)
-  let g = G.create ~n:1 [ edge 0 0 7; edge 0 0 3 ] in
-  match Digraph.Karp.minimum_cycle_mean g ~weight:(fun e -> e.G.label) with
+  (* two parallel self-loops: the max ratio is the better one *)
+  let g = G.create ~n:1 [ edge 0 0 (7, 1); edge 0 0 (3, 1) ] in
+  match
+    Digraph.Karp.maximum_cycle_ratio g
+      ~num:(fun e -> fst e.G.label)
+      ~den:(fun e -> snd e.G.label)
+  with
   | None -> Alcotest.fail "has cycles"
-  | Some m -> Alcotest.(check (float 1e-9)) "cheaper loop" 3.0 m
-
-let test_mcm_matches_bruteforce =
-  (* Karp vs explicit enumeration over all elementary circuits. *)
-  QCheck_alcotest.to_alcotest ~long:false
-    (QCheck.Test.make ~count:80 ~name:"Karp MCM = brute-force minimum"
-       (QCheck.int_range 0 5_000)
-       (fun seed ->
-         let rng = Random.State.make [| seed; 0xca49 |] in
-         let n = 3 + Random.State.int rng 4 in
-         let edges =
-           List.concat
-             (List.init n (fun a ->
-                  List.concat
-                    (List.init n (fun b ->
-                         if a <> b && Random.State.float rng 1.0 < 0.4 then
-                           [ edge a b (Random.State.int rng 9 - 2) ]
-                         else []))))
-         in
-         let g = G.create ~n edges in
-         let weight e = e.G.label in
-         let brute =
-           Digraph.Cycles.elementary ~max_cycles:5_000 g
-           |> List.concat_map (fun cyc -> Digraph.Cycles.all_cycle_edges g cyc)
-           |> List.map (fun es ->
-                  let total =
-                    List.fold_left (fun acc e -> acc + weight e) 0 es
-                  in
-                  float_of_int total /. float_of_int (List.length es))
-         in
-         match (Digraph.Karp.minimum_cycle_mean g ~weight, brute) with
-         | None, [] -> true
-         | Some m, (_ :: _ as means) ->
-             Float.abs (m -. List.fold_left min (List.hd means) means) < 1e-9
-         | Some _, [] | None, _ :: _ -> false))
+  | Some (t, d) -> check_bool "better loop" true (t = 7 * d)
 
 (* The cycle enumeration the parametric search replaced, kept as the
    reference: one ratio per elementary circuit, parallel-edge choices
@@ -628,6 +575,86 @@ let test_map_incident () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* A graph read back through every accessor against the one edge list
+   it must equal: the edge list, each node's out- and in-edges as that
+   list filtered (order included), and the degrees. *)
+let agrees_with_edge_list g ~n reference =
+  let triples l = List.map (fun e -> (e.G.src, e.G.dst, e.G.label)) l in
+  let from v = List.filter (fun e -> e.G.src = v) reference in
+  let into v = List.filter (fun e -> e.G.dst = v) reference in
+  G.n_nodes g = n
+  && G.n_edges g = List.length reference
+  && triples (G.edges g) = triples reference
+  && List.for_all
+       (fun v ->
+         triples (G.succ g v) = triples (from v)
+         && triples (G.pred g v) = triples (into v)
+         && G.out_degree g v = List.length (from v)
+         && G.in_degree g v = List.length (into v))
+       (List.init n Fun.id)
+
+(* Random multigraphs (parallel edges, self-loops, isolated nodes, the
+   empty graph), built by [create] and by a chain of [add_edge]; each
+   update is checked against the same edit of the edge list, and the
+   input graph must be left as it was. *)
+let test_adjacency_matches_edge_list =
+  QCheck_alcotest.to_alcotest ~long:false
+    (QCheck.Test.make ~count:300
+       ~name:"adjacency = filtered edge list"
+       (QCheck.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0x9a7f |] in
+         let n = Random.State.int rng 8 in
+         let m = if n = 0 then 0 else Random.State.int rng 24 in
+         let reference =
+           List.init m (fun i ->
+               edge (Random.State.int rng n) (Random.State.int rng n) i)
+         in
+         let nodes =
+           List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
+         in
+         (* a node named twice is rewritten once *)
+         let nodes = match nodes with v :: _ -> v :: nodes | [] -> [] in
+         let incident e = List.mem e.G.src nodes || List.mem e.G.dst nodes in
+         let relabel e = (1000 * e.G.label) + 1 in
+         let keep e = e.G.label mod 3 <> 0 in
+         let built = G.create ~n reference in
+         let chained =
+           List.fold_left
+             (fun g e -> G.add_edge g ~src:e.G.src ~dst:e.G.dst e.G.label)
+             (G.empty n) reference
+         in
+         List.for_all
+           (fun g ->
+             agrees_with_edge_list g ~n reference
+             && agrees_with_edge_list
+                  (G.map_incident nodes relabel g)
+                  ~n
+                  (List.map
+                     (fun e ->
+                       if incident e then { e with G.label = relabel e } else e)
+                     reference)
+             && agrees_with_edge_list (G.filter_edges keep g) ~n
+                  (List.filter keep reference)
+             && agrees_with_edge_list (G.transpose g) ~n
+                  (List.map (fun e -> edge e.G.dst e.G.src e.G.label) reference)
+             && agrees_with_edge_list g ~n reference)
+           [ built; chained ]))
+
+(* Reads return the stored lists: 10^4 calls of each allocate nothing. *)
+let test_reads_allocate_nothing () =
+  let n = 50 in
+  let g = G.create ~n (List.init 200 (fun i -> edge (i mod n) (i * 7 mod n) i)) in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    let v = i mod n in
+    ignore (Sys.opaque_identity (G.succ g v));
+    ignore (Sys.opaque_identity (G.pred g v));
+    ignore (Sys.opaque_identity (G.edges g))
+  done;
+  let words = Gc.minor_words () -. before in
+  check "minor words allocated" 0 (int_of_float words)
+
 let () =
   Alcotest.run "digraph"
     [
@@ -638,6 +665,9 @@ let () =
           Alcotest.test_case "empty negative" `Quick test_empty_negative;
           Alcotest.test_case "map_incident" `Quick test_map_incident;
           Alcotest.test_case "add_edge range" `Quick test_add_edge_out_of_range;
+          test_adjacency_matches_edge_list;
+          Alcotest.test_case "reads allocate nothing" `Quick
+            test_reads_allocate_nothing;
           Alcotest.test_case "succ/pred" `Quick test_succ_pred;
           Alcotest.test_case "insertion order" `Quick test_insertion_order;
           Alcotest.test_case "multigraph" `Quick test_multigraph;
@@ -702,14 +732,12 @@ let () =
         ] );
       ( "karp",
         [
-          Alcotest.test_case "min cycle mean" `Quick test_mcm_simple;
-          Alcotest.test_case "acyclic" `Quick test_mcm_acyclic;
+          Alcotest.test_case "acyclic" `Quick test_max_ratio_acyclic;
           Alcotest.test_case "max ratio exact" `Quick test_max_ratio;
           Alcotest.test_case "max ratio parallel edges" `Quick
             test_max_ratio_parallel_edges;
           Alcotest.test_case "cycle edge variants cap" `Quick
             test_all_cycle_edges_cap;
-          Alcotest.test_case "max ratio float" `Quick test_max_ratio_float_agrees;
           test_max_ratio_matches_enumeration;
           Alcotest.test_case "max ratio rejects non-positive denominators"
             `Quick test_max_ratio_rejects_non_positive_denominator;
@@ -728,6 +756,5 @@ let () =
             test_bellman_ford_unreachable;
           Alcotest.test_case "karp parallel self loops" `Quick
             test_karp_multigraph_self_loops;
-          test_mcm_matches_bruteforce;
         ] );
     ]

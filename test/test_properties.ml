@@ -186,18 +186,6 @@ let prop_min_period_witness =
       Retiming.is_legal g r
       && Retiming.clock_period (Retiming.apply g r) <= period)
 
-let prop_iteration_bound_methods_agree =
-  QCheck.Test.make ~count:60 ~name:"exact and float iteration bounds agree"
-    seed_arb (fun seed ->
-      let g = graph_of_seed seed in
-      match
-        (Dataflow.Iteration_bound.exact g, Dataflow.Iteration_bound.approx g)
-      with
-      | None, None -> true
-      | Some (t, d), Some approx ->
-          Float.abs (approx -. (float_of_int t /. float_of_int d)) < 1e-4
-      | _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Scheduling properties                                                *)
 (* ------------------------------------------------------------------ *)
@@ -566,7 +554,6 @@ let () =
           prop_rotation_keeps_legality;
           prop_rotate_set_matches_apply;
           prop_min_period_witness;
-          prop_iteration_bound_methods_agree;
         ];
       suite "scheduling"
         [

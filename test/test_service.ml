@@ -1427,6 +1427,19 @@ let test_socket_line_cap () =
         (Printf.sprintf "expected two replies then EOF, got %d lines"
            (List.length lines))
 
+(* A machine over the processor cap is refused before it is built, so
+   the one daemon thread is free for the next request at once. *)
+let test_socket_machine_cap () =
+  with_server @@ fun path ->
+  let c = connect_exn path in
+  let refused = rpc_exn c (sched_line ~id:1 "fig7" "hypercube:16") in
+  Service.Client.close c;
+  serve_second_and_stop path;
+  match P.parse_reply refused with
+  | Ok (P.Error_reply { id = Some 1; err }) ->
+      check_str "typed refusal" "bad_request" err.P.code
+  | _ -> Alcotest.fail "expected a bad_request error reply"
+
 (* About 1 MiB of pipelined schedule requests, whose replies the socket
    cannot hold while the client is not reading, and the request line
    they all answer. *)
@@ -1751,6 +1764,8 @@ let () =
           Alcotest.test_case "overload shedding" `Quick
             test_socket_overload_shedding;
           Alcotest.test_case "line over the cap" `Quick test_socket_line_cap;
+          Alcotest.test_case "machine over the cap" `Quick
+            test_socket_machine_cap;
           Alcotest.test_case "one refusal with replies pending" `Quick
             test_socket_refused_once;
           Alcotest.test_case "stalled refused client dropped" `Quick

@@ -307,6 +307,31 @@ let test_relabel_size_mismatch () =
     (Invalid_argument "Topology.relabel: permutation size mismatch") (fun () ->
       ignore (Topology.relabel t [| 0; 1 |]))
 
+(* Outside input names machines; none over the cap is built, and a
+   dimension too large to multiply is refused too (a max_int-row mesh
+   would never finish building; one row more does not parse as an
+   int). *)
+let test_of_spec_cap () =
+  List.iter
+    (fun spec ->
+      check_bool (spec ^ " refused") true
+        (Result.is_error (Topology.of_spec spec)))
+    [
+      "hypercube:9";
+      "complete:257";
+      "linear:100000";
+      "mesh:4611686018427387903x2";
+      "mesh:4611686018427387904x2";
+      "torus:2x4611686018427387903";
+      "mesh:257x1";
+    ];
+  List.iter
+    (fun (spec, ps) ->
+      match Topology.of_spec spec with
+      | Ok t -> check (spec ^ " processors") ps (Topology.n_processors t)
+      | Error msg -> Alcotest.fail msg)
+    [ ("hypercube:8", 256); ("linear:256", 256); ("mesh:16x16", 256) ]
+
 let () =
   Alcotest.run "topology"
     [
@@ -337,6 +362,7 @@ let () =
             test_of_links_disconnected;
           Alcotest.test_case "self loop rejected" `Quick test_of_links_self_loop;
           Alcotest.test_case "duplicate links" `Quick test_of_links_dedup;
+          Alcotest.test_case "spec processor cap" `Quick test_of_spec_cap;
         ] );
       ( "comm-cost",
         [
