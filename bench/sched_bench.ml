@@ -721,11 +721,9 @@ let append_history path ~quick ~cal rows sched_rows scale pf_cells svc tel =
 let phase_profile () =
   let elliptic = List.assoc "elliptic" (workloads ()) in
   let mesh16 = List.assoc "mesh4x4" (topologies ()) in
-  Obs.Trace.enable ();
-  Obs.Counters.enable ();
+  Obs.Profile.enable ();
   ignore (Compaction.run_on ~validate:false elliptic mesh16);
-  Obs.Trace.disable ();
-  Obs.Counters.disable ();
+  Obs.Profile.disable ();
   (Obs.Trace.aggregate (), Obs.Counters.dump ())
 
 (* The whole document is rendered into one Buffer and written with a

@@ -201,42 +201,26 @@ let metrics_flag =
        & info [ "metrics" ]
            ~doc:"Print the observability counters registry after the run.")
 
-(* Enable the requested collectors, run, then export: the profile file
-   carries the spans plus counters/resources blocks; --metrics prints
-   the registries on stdout.  With neither flag every probe stays a
-   no-op.  Resource attribution rides the same probes as tracing, so
-   both flags turn it on: the profile embeds the per-phase resource
-   rollup under "resources", and --metrics prints the same table. *)
+(* Either flag profiles the run: spans (time and allocation) and the
+   metrics registries on, run, off, then export.  The profile file
+   carries the spans plus the counters, histograms and resources blocks;
+   --metrics prints the registries and the per-span resource table on
+   stdout.  With neither flag every probe stays a no-op. *)
 let with_observability ~profile ~metrics run =
-  if profile <> None then Obs.Trace.enable ();
-  if profile <> None || metrics then begin
-    Obs.Counters.enable ();
-    Obs.Histogram.enable ();
-    Obs.Resource.enable ()
-  end;
+  let on = profile <> None || metrics in
+  if on then Obs.Profile.enable ();
   let result = run () in
-  (* final memory reading lands in the counters registry before the
-     collectors freeze, so process.*/gc.* rows show up in both exports *)
-  Obs.Resource.refresh_process_gauges ();
-  Obs.Trace.disable ();
-  Obs.Counters.disable ();
-  Obs.Histogram.disable ();
-  Obs.Resource.disable ();
-  (match profile with
-  | Some path ->
-      let json =
-        Obs.Trace.to_chrome_json ~counters:(Obs.Counters.dump ())
-          ~histograms:(Obs.Histogram.dump ())
-          ~resources:(Obs.Resource.rollup_json ()) ()
-      in
-      Cyclo.Export.write_file ~path json;
-      Fmt.pr "wrote profile %s@." path
-  | None -> ());
+  if on then Obs.Profile.disable ();
+  Option.iter
+    (fun path ->
+      Cyclo.Export.write_file ~path (Obs.Profile.to_chrome_json ());
+      Fmt.pr "wrote profile %s@." path)
+    profile;
   if metrics then begin
     Fmt.pr "@.metrics:@.%a" Obs.Counters.pp_summary ();
     if List.exists (fun (_, b) -> b <> []) (Obs.Histogram.dump ()) then
       Fmt.pr "@.histograms:@.%a" Obs.Histogram.pp_summary ();
-    if Obs.Resource.spans () <> [] then
+    if Obs.Trace.spans () <> [] then
       Fmt.pr "@.resources:@.%a" Obs.Resource.pp_summary ()
   end;
   result
@@ -803,8 +787,9 @@ let validate_cmd =
 (* Run the pipeline with the decision journal on, and hand back the
    result plus the merged event list.  The journal is kept out of
    `with_observability` on purpose: it changes nothing about the
-   schedule, but enabling it costs allocations per decision, so only the
-   analytics commands pay for it. *)
+   schedule, but it costs allocations per decision and stops the
+   start-up sweep skipping steps where every processor is busy, so only
+   the analytics commands pay for it. *)
 let with_journal run =
   Obs.Journal.enable ();
   let result = run () in
@@ -1111,7 +1096,6 @@ let serve_cmd =
        counters never touch reply bytes (golden replies are pinned with
        telemetry enabled). *)
     Obs.Counters.enable ();
-    Obs.Histogram.enable ();
     let log_sink =
       Option.map
         (fun path ->

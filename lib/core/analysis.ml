@@ -267,10 +267,7 @@ let report ?topo ?(journal = []) ?measured ?(k = 5) sched =
     length;
     bound;
     gap = Option.map (fun b -> length - b) bound;
-    critical_cycle =
-      (match Dataflow.Iteration_bound.critical_cycles dfg with
-      | [] -> None
-      | c :: _ -> Some c);
+    critical_cycle = Dataflow.Iteration_bound.critical_cycle dfg;
     binding = binding_constraint sched;
     utilization = Metrics.utilization sched;
     per_pe = pe_utilization sched;

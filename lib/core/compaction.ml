@@ -35,10 +35,6 @@ let classify ~previous ~next outcome_hint =
       else if next = previous then Lateral
       else Expanded
 
-let log_src = Logs.Src.create "cyclo.compaction" ~doc:"Cyclo-compaction passes"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 let c_passes = Obs.Counters.counter "compaction.passes"
 let g_best_length = Obs.Counters.gauge "compaction.best_length"
 let c_compacted = Obs.Counters.counter "compaction.outcome.compacted"
@@ -159,10 +155,6 @@ let advance ?should_stop ~passes st =
         pass ?scoring:st.sp_scoring ?order:st.sp_order st.sp_mode sched
       in
       if st.sp_validate then Validator.assert_legal next;
-      Log.debug (fun m ->
-          m "pass %d: rotate {%s} -> length %d (%a)" i
-            (String.concat " " rotated)
-            (Schedule.length next) pp_outcome outcome);
       let entry = { pass = i; rotated; length = Schedule.length next; outcome } in
       if Obs.Journal.enabled () then
         Obs.Journal.record

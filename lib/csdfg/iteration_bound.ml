@@ -11,17 +11,16 @@ let exact_ceil g =
   | None -> None
   | Some (t, d) -> Some ((t + d - 1) / d)
 
-let critical_cycles ?max_cycles g =
-  match exact g with
-  | None -> []
-  | Some (bt, bd) ->
-      let graph = Csdfg.graph g in
-      let attains_bound cyc =
-        (* some combination of parallel edges reaches the bound *)
-        List.exists
-          (fun edges ->
-            let sum f = List.fold_left (fun acc e -> acc + f e) 0 edges in
-            sum (num g) * bd = bt * sum den)
-          (Digraph.Cycles.all_cycle_edges graph cyc)
-      in
-      Digraph.Cycles.elementary ?max_cycles graph |> List.filter attains_bound
+(* The search's witness, rotated to start at its smallest node like
+   [Digraph.Cycles.elementary]'s cycles. *)
+let critical_cycle g =
+  Digraph.Karp.critical_cycle (Csdfg.graph g) ~num:(num g) ~den
+  |> Option.map (fun (_, edges) ->
+         let nodes = List.map (fun e -> e.Digraph.Graph.src) edges in
+         let first = List.fold_left min max_int nodes in
+         let rec rotate before = function
+           | v :: rest when v = first -> (v :: rest) @ List.rev before
+           | v :: rest -> rotate (v :: before) rest
+           | [] -> List.rev before
+         in
+         rotate [] nodes)

@@ -15,7 +15,9 @@ val exact_ceil : Csdfg.t -> int option
 (** [ceil] of {!exact} — the smallest integer schedule length per
     iteration permitted by the loop-carried dependencies. *)
 
-val critical_cycles : ?max_cycles:int -> Csdfg.t -> int list list
-(** All elementary cycles attaining the bound, from an enumeration
-    bounded by [max_cycles] (see {!Digraph.Cycles.elementary}); the
-    bound itself comes from {!exact}. *)
+val critical_cycle : Csdfg.t -> int list option
+(** One elementary cycle attaining the bound, as its nodes in path order
+    from its smallest node id; [None] for acyclic graphs.  It is the
+    last witness of the search behind {!exact}, so it is found at any
+    graph size.  When several cycles attain the bound, which one is
+    returned is a deterministic function of the graph. *)

@@ -10,8 +10,10 @@
    virtual source at distance 0 to every node.  After each sweep the
    parent graph is checked: with strict relaxations every cycle in it is
    positive, and while one exists distances keep rising, which they
-   cannot do forever without closing a parent cycle. *)
-let maximum_cycle_ratio g ~num ~den =
+   cannot do forever without closing a parent cycle.  A parent cycle is
+   elementary (every node has one parent), so the last witness is an
+   elementary critical cycle. *)
+let critical_cycle g ~num ~den =
   let n = Graph.n_nodes g in
   let edges = Array.of_list (Graph.edges g) in
   let src = Array.map (fun e -> e.Graph.src) edges in
@@ -68,18 +70,21 @@ let maximum_cycle_ratio g ~num ~den =
       invalid_arg "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator";
     (sum nums, d)
   in
-  let rec raise_bound (p, q) =
+  let rec raise_bound cycle =
+    let p, q = measure cycle in
     match positive_cycle ~p ~q with
-    | None -> (p, q)
-    | Some cycle -> raise_bound (measure cycle)
+    | None -> ((p, q), List.map (Array.get edges) cycle)
+    | Some next -> raise_bound next
   in
   (* Below every ratio: a cycle's numerator is at least minus the sum of
      all numerators' magnitudes, and its denominator at least 1. *)
   let floor = -1 - Array.fold_left (fun acc x -> acc + abs x) 0 nums in
   match positive_cycle ~p:floor ~q:1 with
-  | Some cycle -> Some (raise_bound (measure cycle))
+  | Some cycle -> Some (raise_bound cycle)
   | None ->
       if Cycles.has_cycle g then
         invalid_arg
           "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator";
       None
+
+let maximum_cycle_ratio g ~num ~den = Option.map fst (critical_cycle g ~num ~den)

@@ -23,3 +23,13 @@ val maximum_cycle_ratio :
     @raise Invalid_argument when the search meets a cycle whose
     denominator sum is <= 0 — with positive numerators (node times, as
     for the iteration bound) every such cycle is met. *)
+
+val critical_cycle :
+  'e Graph.t ->
+  num:('e Graph.edge -> int) ->
+  den:('e Graph.edge -> int) ->
+  ((int * int) * 'e Graph.edge list) option
+(** {!maximum_cycle_ratio} together with the search's last witness: an
+    elementary cycle attaining the maximum, as its edges in path order
+    (each edge's [dst] is the next edge's [src]).  The ratio is that
+    cycle's own unreduced sums.  Same cost and exceptions. *)

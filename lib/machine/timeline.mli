@@ -29,4 +29,4 @@ val to_chrome_json : ?label:(int -> string) -> np:int -> Events.event list -> st
     lane (send to delivery, volume and route endpoints in [args]), and
     stalls appear as instant events on the lane that waited.  Loadable
     in [chrome://tracing] / Perfetto next to the wall-clock traces from
-    {!Obs.Trace.to_chrome_json}. *)
+    {!Obs.Profile.to_chrome_json}. *)

@@ -5,6 +5,7 @@ type t = { name : string; kind : kind; cell : int Atomic.t }
 let enabled_flag = Atomic.make false
 let lock = Mutex.create ()
 let table : (string, t) Hashtbl.t = Hashtbl.create 32
+let unnamed : int Atomic.t list ref = ref []
 
 let register kind name =
   Mutex.protect lock (fun () ->
@@ -18,6 +19,11 @@ let register kind name =
 let counter name = register Counter name
 let gauge name = register Gauge name
 
+let cell () =
+  let c = Atomic.make 0 in
+  Mutex.protect lock (fun () -> unnamed := c :: !unnamed);
+  c
+
 let name c = c.name
 let kind c = c.kind
 
@@ -30,7 +36,8 @@ let enabled () = Atomic.get enabled_flag
 
 let reset () =
   Mutex.protect lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) table)
+      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) table;
+      List.iter (fun c -> Atomic.set c 0) !unnamed)
 
 let enable () =
   reset ();
@@ -46,10 +53,9 @@ let snapshot () =
   |> List.sort compare
 
 let dump () = List.map (fun (name, _, v) -> (name, v)) (snapshot ())
-let dump_kinds () = snapshot ()
 
 let pp_summary ppf () =
-  let rows = dump_kinds () in
+  let rows = snapshot () in
   if rows = [] then Format.fprintf ppf "no counters registered@."
   else
     List.iter

@@ -10,7 +10,10 @@
     {!counter}; updating through a handle is lock-free (one atomic
     fetch-and-add) and, like {!Trace}, a single atomic flag read when
     the registry is disabled, so instrumented hot paths cost nothing
-    measurable until a caller opts in with {!enable}. *)
+    measurable until a caller opts in with {!enable}.
+
+    The switch here is the {e metrics} switch: it turns on the
+    {!Histogram} registry too, and {!enable}/{!reset} zero both. *)
 
 type t
 (** A registered counter (or gauge) handle. *)
@@ -30,6 +33,11 @@ val gauge : string -> t
 (** Like {!counter} but registers the name as a {!Gauge}
     (last-write-wins, driven with {!set}). *)
 
+val cell : unit -> int Atomic.t
+(** A cell behind the metrics switch that no snapshot lists: {!reset}
+    and {!enable} zero it with the named counters.  {!Histogram} keeps
+    its buckets in such cells; update one only while {!enabled}. *)
+
 val name : t -> string
 val kind : t -> kind
 
@@ -45,13 +53,15 @@ val value : t -> int
 val enabled : unit -> bool
 
 val enable : unit -> unit
-(** Zero every registered counter and start accepting updates. *)
+(** Zero every registered counter and histogram and start accepting
+    updates to both. *)
 
 val disable : unit -> unit
 (** Stop accepting updates; values remain readable. *)
 
 val reset : unit -> unit
-(** Zero every registered counter without changing the enabled flag. *)
+(** Zero every registered counter and histogram without changing the
+    enabled flag. *)
 
 val snapshot : unit -> (string * kind * int) list
 (** One immutable, consistent view of the whole registry:
@@ -61,10 +71,7 @@ val snapshot : unit -> (string * kind * int) list
     tests — none of them re-parse {!pp_summary} text. *)
 
 val dump : unit -> (string * int) list
-(** {!snapshot} without the kinds (kept for existing callers). *)
-
-val dump_kinds : unit -> (string * kind * int) list
-(** Alias for {!snapshot}. *)
+(** {!snapshot} without the kinds. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable registry listing, one [name value] line per counter

@@ -1,6 +1,7 @@
-(* Log2-bucketed distributions with the same registry / enabled-flag
-   discipline as Counters: registration under a mutex, recording via
-   atomics only, one atomic flag load when disabled. *)
+(* Log2-bucketed distributions behind the Counters switch: registration
+   under a mutex, recording via atomics only, one atomic flag load when
+   disabled.  Every cell is a [Counters.cell], so the metrics switch
+   zeroes histograms with the counters. *)
 
 let n_buckets = 64
 (* bucket 0: v <= 0; bucket i >= 1: 2^(i-1) <= v < 2^i, upper bound
@@ -13,7 +14,6 @@ type t = {
   sum : int Atomic.t;
 }
 
-let enabled_flag = Atomic.make false
 let lock = Mutex.create ()
 let table : (string, t) Hashtbl.t = Hashtbl.create 16
 
@@ -25,9 +25,9 @@ let histogram name =
           let h =
             {
               name;
-              counts = Array.init n_buckets (fun _ -> Atomic.make 0);
-              total = Atomic.make 0;
-              sum = Atomic.make 0;
+              counts = Array.init n_buckets (fun _ -> Counters.cell ());
+              total = Counters.cell ();
+              sum = Counters.cell ();
             }
           in
           Hashtbl.add table name h;
@@ -49,7 +49,7 @@ let bucket_of v =
 let upper_bound i = if i = 0 then 0 else (1 lsl i) - 1
 
 let observe h v =
-  if Atomic.get enabled_flag then begin
+  if Counters.enabled () then begin
     ignore (Atomic.fetch_and_add h.counts.(bucket_of v) 1);
     ignore (Atomic.fetch_and_add h.total 1);
     ignore (Atomic.fetch_and_add h.sum (max 0 v))
@@ -116,23 +116,6 @@ let snapshot () =
       Hashtbl.fold (fun name h acc -> (name, h) :: acc) table [])
   |> List.sort compare
   |> List.map (fun (name, h) -> (name, snap h))
-
-let enabled () = Atomic.get enabled_flag
-
-let reset () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.iter
-        (fun _ h ->
-          Array.iter (fun c -> Atomic.set c 0) h.counts;
-          Atomic.set h.total 0;
-          Atomic.set h.sum 0)
-        table)
-
-let enable () =
-  reset ();
-  Atomic.set enabled_flag true
-
-let disable () = Atomic.set enabled_flag false
 
 let dump () =
   Mutex.protect lock (fun () ->

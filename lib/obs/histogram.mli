@@ -11,9 +11,11 @@
 
     Handles live in one global registry like {!Counters}; recording
     through a handle is lock-free (one atomic fetch-and-add into the
-    bucket plus count/sum updates) and a single atomic flag read when
-    the registry is disabled, so instrumented hot paths cost nothing
-    measurable until a caller opts in with {!enable}. *)
+    bucket plus count/sum updates) and a single atomic flag read while
+    the metrics switch is off, so instrumented hot paths cost nothing
+    measurable until a caller opts in.  Histograms share that switch
+    with the counters: {!Counters.enable} turns both on and zeroes
+    both, {!Counters.disable} turns both off. *)
 
 type t
 (** A registered histogram handle. *)
@@ -27,10 +29,12 @@ val name : t -> string
 
 val observe : t -> int -> unit
 (** Record one sample.  Negative samples clamp to bucket 0 (they count
-    toward [count] but add 0 to [sum]).  No-op while disabled. *)
+    toward [count] but add 0 to [sum]).  No-op while the metrics
+    switch is off. *)
 
 val count : t -> int
-(** Samples recorded since the last {!enable} / {!reset}. *)
+(** Samples recorded since the last {!Counters.enable} /
+    {!Counters.reset}. *)
 
 val sum : t -> int
 (** Sum of recorded samples (negatives clamped to 0). *)
@@ -66,17 +70,6 @@ val snapshot : unit -> (string * snapshot) list
 (** {!snap} of every registered histogram, sorted by name.  Histograms
     with no samples are included (all-zero snapshot), mirroring
     {!Counters.snapshot}. *)
-
-val enabled : unit -> bool
-
-val enable : unit -> unit
-(** Zero every registered histogram and start accepting samples. *)
-
-val disable : unit -> unit
-(** Stop accepting samples; recorded data remains readable. *)
-
-val reset : unit -> unit
-(** Zero every registered histogram without changing the enabled flag. *)
 
 val dump : unit -> (string * (int * int) list) list
 (** Snapshot of every registered histogram's {!buckets}, sorted by

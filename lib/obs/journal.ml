@@ -22,68 +22,13 @@ type event =
   | Pass of { pass : int; length : int; outcome : string; binding : binding }
   | Refine_move of { node : int; cs : int; pe : int; accepted : bool }
 
-(* Same per-domain stream scheme as Trace: no lock on the hot path, a
-   lazily re-registered stream per (domain, collection epoch), and a
-   deterministic (domain tag, begin order) merge after the traced work
-   has joined. *)
-type stream = {
-  mutable tag : int;
-  mutable epoch : int;
-  mutable items : (int * event) list;  (* (seq, event), newest first *)
-  mutable next_seq : int;
-}
-
-let enabled_flag = Atomic.make false
-let epoch = Atomic.make 0
-let next_tag = Atomic.make 0
-let registry_lock = Mutex.create ()
-let registry : stream list ref = ref []
-
-let stream_key : stream Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { tag = -1; epoch = -1; items = []; next_seq = 0 })
-
-let stream () =
-  let s = Domain.DLS.get stream_key in
-  let e = Atomic.get epoch in
-  if s.epoch <> e then begin
-    s.epoch <- e;
-    s.items <- [];
-    s.next_seq <- 0;
-    s.tag <- Atomic.fetch_and_add next_tag 1;
-    Mutex.protect registry_lock (fun () -> registry := s :: !registry)
-  end;
-  s
-
-let enabled () = Atomic.get enabled_flag
-
-let reset () =
-  Mutex.protect registry_lock (fun () -> registry := []);
-  Atomic.set next_tag 0;
-  Atomic.incr epoch
-
-let enable () =
-  reset ();
-  Atomic.set enabled_flag true
-
-let disable () = Atomic.set enabled_flag false
-
-let record ev =
-  if Atomic.get enabled_flag then begin
-    let s = stream () in
-    let seq = s.next_seq in
-    s.next_seq <- seq + 1;
-    s.items <- (seq, ev) :: s.items
-  end
-
-let events () =
-  let streams = Mutex.protect registry_lock (fun () -> !registry) in
-  List.concat_map
-    (fun s -> List.map (fun (seq, ev) -> (s.tag, seq, ev)) s.items)
-    streams
-  |> List.sort (fun (d1, s1, _) (d2, s2, _) ->
-         match compare d1 d2 with 0 -> compare s1 s2 | c -> c)
-  |> List.map (fun (_, _, ev) -> ev)
+let collection : event Collector.t = Collector.create ()
+let enabled () = Collector.enabled collection
+let enable () = Collector.enable collection
+let disable () = Collector.disable collection
+let reset () = Collector.reset collection
+let record ev = Collector.record collection ev
+let events () = Collector.items collection
 
 let default_label v = "n" ^ string_of_int v
 

@@ -8,12 +8,16 @@
     constraint bound each compaction pass's schedule length, and which
     local-search moves were tried.
 
-    The journal follows the same discipline as {!Trace}: {b off by
+    The journal is a {!Collector}, like {!Trace}'s spans: {b off by
     default}, every probe one atomic flag read when disabled — so
     instrumented schedulers produce byte-identical results until a
     caller opts in — and per-domain streams merged deterministically in
     (domain, per-domain sequence) order after the traced work has
-    joined.
+    joined.  It keeps its own switch because recording changes one
+    thing about the work done: with the journal on, the start-up sweep
+    probes every ready node at every step (each rejection is an event)
+    instead of skipping steps where every processor is busy.  The
+    schedule it builds is the same.
 
     Events name nodes and processors by their dense integer ids; the
     pretty-printer takes an optional labeller so callers with a graph in
@@ -69,9 +73,9 @@ type event =
 
 (** {2 Collection lifecycle}
 
-    Identical to {!Trace}: [enable] starts a fresh collection, [record]
-    is a single atomic load while disabled, [events] merges the
-    per-domain streams deterministically. *)
+    The {!Collector} API over journal events: [enable] starts a fresh
+    collection, [record] is a single atomic load while disabled,
+    [events] merges the per-domain streams deterministically. *)
 
 val enabled : unit -> bool
 (** Whether events are currently being recorded.  Callers building

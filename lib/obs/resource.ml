@@ -1,149 +1,8 @@
-(* Per-span resource attribution and process-level memory gauges.
-
-   This is Trace's twin for *space*: the same per-domain streams, the
-   same epoch-based lazy re-registration, the same
-   one-atomic-load-when-off probe discipline — but a frame captures
-   [Gc.quick_stat] at open and close instead of the monotonic clock, so
-   a closed span carries the words allocated, promotions and collections
-   attributable to its window.  Resource spans piggyback on the
-   existing [Trace.with_span] probe names via the wrapper hook Trace
-   exposes, installed at module-init time below: enabling Resource
-   attributes every instrumented phase without touching a single call
-   site.
-
-   [Gc.quick_stat] never walks the heap (unlike [Gc.stat]), so an
-   enabled probe costs two stat reads — cheap enough for the span
-   granularity used here (whole passes and runs, not inner loops).  The
-   allocation counters it reads are per-domain in OCaml 5, which is
-   exactly the attribution we want: a span records its own domain's
-   allocation, and nested spans' deltas sum to at most their parent's
-   because the counters are monotone within a domain. *)
-
-type span = {
-  name : string;
-  minor_words : int;
-  promoted_words : int;
-  major_words : int;
-  minor_collections : int;
-  major_collections : int;
-  top_heap_words : int;  (* growth of the top-heap high-water mark *)
-  depth : int;
-  domain : int;
-  seq : int;
-}
-
-(* Frames are compared physically on close, like Trace's: an
-   [enable]/[reset] racing with an open span drops that span instead of
-   corrupting the new collection. *)
-type frame = {
-  f_name : string;
-  f_minor : float;
-  f_promoted : float;
-  f_major : float;
-  f_minor_cols : int;
-  f_major_cols : int;
-  f_top_heap : int;
-  f_seq : int;
-}
-
-type stream = {
-  mutable tag : int;
-  mutable epoch : int;
-  mutable stack : frame list;
-  mutable closed : span list;  (* newest first *)
-  mutable next_seq : int;
-}
-
-let enabled_flag = Atomic.make false
-let epoch = Atomic.make 0
-let next_tag = Atomic.make 0
-let registry_lock = Mutex.create ()
-let registry : stream list ref = ref []
-
-let stream_key : stream Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { tag = -1; epoch = -1; stack = []; closed = []; next_seq = 0 })
-
-let stream () =
-  let s = Domain.DLS.get stream_key in
-  let e = Atomic.get epoch in
-  if s.epoch <> e then begin
-    s.epoch <- e;
-    s.stack <- [];
-    s.closed <- [];
-    s.next_seq <- 0;
-    s.tag <- Atomic.fetch_and_add next_tag 1;
-    Mutex.protect registry_lock (fun () -> registry := s :: !registry)
-  end;
-  s
-
-let enabled () = Atomic.get enabled_flag
-
-let reset () =
-  Mutex.protect registry_lock (fun () -> registry := []);
-  Atomic.set next_tag 0;
-  Atomic.incr epoch
-
-let enable () =
-  reset ();
-  Atomic.set enabled_flag true
-
-let disable () = Atomic.set enabled_flag false
-
-let with_span name f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let s = stream () in
-    let seq = s.next_seq in
-    s.next_seq <- seq + 1;
-    let q0 = Gc.quick_stat () in
-    let frame =
-      {
-        f_name = name;
-        f_minor = q0.Gc.minor_words;
-        f_promoted = q0.Gc.promoted_words;
-        f_major = q0.Gc.major_words;
-        f_minor_cols = q0.Gc.minor_collections;
-        f_major_cols = q0.Gc.major_collections;
-        f_top_heap = q0.Gc.top_heap_words;
-        f_seq = seq;
-      }
-    in
-    s.stack <- frame :: s.stack;
-    let close () =
-      let q1 = Gc.quick_stat () in
-      match s.stack with
-      | top :: rest when top == frame ->
-          s.stack <- rest;
-          let dw a b = max 0 (int_of_float (a -. b)) in
-          s.closed <-
-            {
-              name;
-              minor_words = dw q1.Gc.minor_words frame.f_minor;
-              promoted_words = dw q1.Gc.promoted_words frame.f_promoted;
-              major_words = dw q1.Gc.major_words frame.f_major;
-              minor_collections =
-                max 0 (q1.Gc.minor_collections - frame.f_minor_cols);
-              major_collections =
-                max 0 (q1.Gc.major_collections - frame.f_major_cols);
-              top_heap_words = max 0 (q1.Gc.top_heap_words - frame.f_top_heap);
-              depth = List.length rest;
-              domain = s.tag;
-              seq;
-            }
-            :: s.closed
-      | _ -> ()  (* collection was reset mid-span: drop it *)
-    in
-    Fun.protect ~finally:close f
-  end
-
-let spans () =
-  let streams = Mutex.protect registry_lock (fun () -> !registry) in
-  List.concat_map (fun s -> s.closed) streams
-  |> List.sort (fun a b ->
-         match compare a.domain b.domain with
-         | 0 -> compare a.seq b.seq
-         | c -> c)
+(* Memory attribution over Trace's spans, and process-level memory
+   gauges.  A span already carries the [Gc.quick_stat] deltas of its
+   window (Trace reads them at open and close); this module rolls them
+   up by name, samples the process as a whole, and publishes that
+   sample into the Counters registry. *)
 
 type rollup = {
   r_count : int;
@@ -155,37 +14,34 @@ type rollup = {
   r_top_heap_words : int;  (* max single-span high-water growth *)
 }
 
+let zero =
+  {
+    r_count = 0;
+    r_minor_words = 0;
+    r_promoted_words = 0;
+    r_major_words = 0;
+    r_minor_collections = 0;
+    r_major_collections = 0;
+    r_top_heap_words = 0;
+  }
+
 let aggregate () =
-  let table : (string, rollup ref) Hashtbl.t = Hashtbl.create 16 in
+  let table : (string, rollup) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun sp ->
-      match Hashtbl.find_opt table sp.name with
-      | Some cell ->
-          let r = !cell in
-          cell :=
-            {
-              r_count = r.r_count + 1;
-              r_minor_words = r.r_minor_words + sp.minor_words;
-              r_promoted_words = r.r_promoted_words + sp.promoted_words;
-              r_major_words = r.r_major_words + sp.major_words;
-              r_minor_collections = r.r_minor_collections + sp.minor_collections;
-              r_major_collections = r.r_major_collections + sp.major_collections;
-              r_top_heap_words = max r.r_top_heap_words sp.top_heap_words;
-            }
-      | None ->
-          Hashtbl.add table sp.name
-            (ref
-               {
-                 r_count = 1;
-                 r_minor_words = sp.minor_words;
-                 r_promoted_words = sp.promoted_words;
-                 r_major_words = sp.major_words;
-                 r_minor_collections = sp.minor_collections;
-                 r_major_collections = sp.major_collections;
-                 r_top_heap_words = sp.top_heap_words;
-               }))
-    (spans ());
-  Hashtbl.fold (fun name cell acc -> (name, !cell) :: acc) table []
+    (fun (sp : Trace.span) ->
+      let r = Option.value (Hashtbl.find_opt table sp.name) ~default:zero in
+      Hashtbl.replace table sp.name
+        {
+          r_count = r.r_count + 1;
+          r_minor_words = r.r_minor_words + sp.minor_words;
+          r_promoted_words = r.r_promoted_words + sp.promoted_words;
+          r_major_words = r.r_major_words + sp.major_words;
+          r_minor_collections = r.r_minor_collections + sp.minor_collections;
+          r_major_collections = r.r_major_collections + sp.major_collections;
+          r_top_heap_words = max r.r_top_heap_words sp.top_heap_words;
+        })
+    (Trace.spans ());
+  Hashtbl.fold (fun name r acc -> (name, r) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
@@ -356,7 +212,7 @@ let rollup_json () =
 
 let pp_summary ppf () =
   let rows = aggregate () in
-  if rows = [] then Format.fprintf ppf "no resource spans recorded@."
+  if rows = [] then Format.fprintf ppf "no spans recorded@."
   else begin
     Format.fprintf ppf "%-28s %8s %14s %12s %8s %8s@." "span" "count"
       "minor words" "major words" "min gcs" "maj gcs";
@@ -367,6 +223,3 @@ let pp_summary ppf () =
           r.r_major_collections)
       rows
   end
-
-(* Layer resource attribution onto every Trace.with_span call site. *)
-let () = Trace.set_resource_wrapper { Trace.wrap = with_span }

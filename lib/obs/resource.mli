@@ -1,61 +1,18 @@
-(** Per-span GC/allocation attribution and process-level memory gauges.
+(** Where the memory went: a per-name rollup of the allocation that
+    {!Trace} spans record, and process-level memory gauges.
 
-    Where {!Trace} answers {e where did the wall-clock go}, Resource
-    answers {e where did the memory go}: every region instrumented with
-    {!Trace.with_span} can also record — via [Gc.quick_stat] deltas
-    captured at span open and close — the minor/major words it
-    allocated, the words it promoted, the collections it triggered and
-    how far it pushed the top-heap high-water mark.  Attribution rides
-    the {e same} probes as wall-clock tracing (Resource installs a
-    wrapper through {!Trace.set_resource_wrapper} at module-init time),
-    so no scheduler call site knows this module exists.
+    Every {!Trace.span} carries the [Gc.quick_stat] deltas of its own
+    window — words allocated and promoted, collections run, top-heap
+    growth — so {!aggregate} needs no switch of its own: it reads
+    {!Trace.spans}, and is empty while tracing is off.
 
-    The collection discipline is identical to {!Trace}: {b off by
-    default}, one atomic flag load per disabled probe — golden
-    schedules stay byte-identical with resource probes on — per-domain
-    streams, deterministic (domain, seq) merge after the traced work
-    has joined.  OCaml 5 keeps allocation counters per domain, which is
-    the attribution a span wants: a span measures its own domain's
-    allocation, and the deltas of nested spans sum to at most their
-    parent's because the counters are monotone within a domain.
-
-    The process-level half needs no enablement: {!sample_process} reads
-    current/peak RSS from [/proc/self/statm] and [/proc/self/status]
-    (falling back to major-heap size off Linux) plus the cumulative GC
-    totals, and {!refresh_process_gauges} publishes the sample into the
-    {!Counters} registry ([process.*] gauges, [gc.*] totals) so the
-    Prometheus exposition, [--metrics] and [ccsched top] see memory
-    without new plumbing. *)
-
-type span = {
-  name : string;  (** probe name, shared with {!Trace} spans *)
-  minor_words : int;  (** words allocated in the minor heap *)
-  promoted_words : int;  (** words promoted minor → major *)
-  major_words : int;  (** words allocated in the major heap, incl. promotions *)
-  minor_collections : int;  (** minor GCs completed inside the span *)
-  major_collections : int;  (** major GC cycles completed inside the span *)
-  top_heap_words : int;  (** growth of the top-heap high-water mark, ≥ 0 *)
-  depth : int;  (** nesting depth within its domain, [0] = root *)
-  domain : int;  (** dense per-collection domain tag *)
-  seq : int;  (** per-domain begin-order sequence number *)
-}
-
-val enabled : unit -> bool
-val enable : unit -> unit
-(** Start a fresh collection: drop recorded spans, turn recording on. *)
-
-val disable : unit -> unit
-val reset : unit -> unit
-
-val with_span : string -> (unit -> 'a) -> 'a
-(** Direct probe: run [f] inside a resource span.  Scheduler code never
-    calls this — it reaches here through {!Trace.with_span}'s wrapper
-    hook — but tests and ad-hoc measurements can.  Exactly [f ()] after
-    one atomic load while disabled. *)
-
-val spans : unit -> span list
-(** Every closed span of the current collection, merged across domains
-    in (domain, seq) order. *)
+    The process-level half needs no enablement either: {!sample_process}
+    reads current/peak RSS from [/proc/self/statm] and
+    [/proc/self/status] (falling back to major-heap size off Linux) plus
+    the cumulative GC totals, and {!refresh_process_gauges} publishes
+    the sample into the {!Counters} registry ([process.*] gauges, [gc.*]
+    totals) so the Prometheus exposition, [--metrics] and [ccsched top]
+    see memory without new plumbing. *)
 
 type rollup = {
   r_count : int;
@@ -70,7 +27,7 @@ type rollup = {
 }
 
 val aggregate : unit -> (string * rollup) list
-(** Per-name rollup of {!spans}, sorted by name.  Like
+(** Per-name allocation rollup of {!Trace.spans}, sorted by name.  Like
     {!Trace.aggregate}, nested spans are not subtracted from their
     parents. *)
 
@@ -106,7 +63,7 @@ val rollup_json : unit -> string
     "promoted_words": ..., "major_words": ..., "minor_collections": ...,
     "major_collections": ..., "top_heap_words": ...}, ...],
     "process": {...}}] — the shape embedded under ["resources"] in
-    [--profile] output via {!Trace.to_chrome_json}. *)
+    [--profile] output by {!Profile.to_chrome_json}. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable table of {!aggregate}: one line per span name with

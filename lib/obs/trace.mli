@@ -1,31 +1,44 @@
 (** Span-based structured tracing for the scheduling pipeline.
 
-    A {e span} is one timed region of execution — a whole scheduler run,
-    one compaction pass, one simulator execution — opened and closed by
-    {!with_span}.  Spans nest: a span opened while another is running
-    records the enclosing depth, so exporters can reconstruct the call
-    tree without walking the runtime stack.
+    A {e span} is one instrumented region of execution — a whole
+    scheduler run, one compaction pass, one simulator execution —
+    opened and closed by {!with_span}.  It records where the wall-clock
+    went (the monotonic clock, read at open and close) and where the
+    memory went ([Gc.quick_stat] deltas over the same window: words
+    allocated and promoted, collections run, top-heap growth).  Spans
+    nest: a span opened while another is running records the enclosing
+    depth, so exporters can reconstruct the call tree without walking
+    the runtime stack.
 
     Tracing is {b off by default} and every probe is a single atomic
     flag read when disabled, so instrumented code paths produce
     byte-identical results and indistinguishable timings until a caller
-    opts in with {!enable} (the [ccsched] [--profile] flag, the bench
-    harness, or a test).
+    opts in with {!enable} (the [ccsched] [--profile] and [--metrics]
+    flags through {!Profile.enable}, the bench harness, or a test).
 
     {2 Per-domain streams}
 
-    Each OCaml domain appends to its own private stream (no lock on the
-    hot path); {!spans} merges the streams deterministically — ordered
-    by (domain tag, per-domain begin order) — after the parallel section
-    has joined.  Collect results only once the traced work has finished;
-    spans still open or recorded by still-running domains are not
-    merged. *)
+    Spans are recorded through {!Collector}: each OCaml domain appends
+    to its own stream (no lock on the hot path), and {!spans} merges
+    the streams deterministically, ordered by (domain tag, per-domain
+    begin order), after the parallel section has joined.  Collect
+    results only once the traced work has finished; spans still open
+    or recorded by still-running domains are not merged.  OCaml 5 keeps
+    allocation counters per domain, so a span's allocation is its own
+    domain's, and the deltas of nested spans sum to at most their
+    parent's. *)
 
 type span = {
   name : string;  (** probe name, e.g. ["compaction.pass"] *)
   args : (string * string) list;  (** static key/value annotations *)
   start_ns : int;  (** wall-clock start, ns since {!enable} *)
   dur_ns : int;  (** wall-clock duration in ns, [>= 0] *)
+  minor_words : int;  (** words allocated in the minor heap *)
+  promoted_words : int;  (** words promoted minor → major *)
+  major_words : int;  (** words allocated in the major heap, incl. promotions *)
+  minor_collections : int;  (** minor GCs completed inside the span *)
+  major_collections : int;  (** major GC cycles completed inside the span *)
+  top_heap_words : int;  (** growth of the top-heap high-water mark, [>= 0] *)
   depth : int;  (** nesting depth within its domain, [0] = root *)
   domain : int;  (** dense per-collection domain tag, [0] = first seen *)
   seq : int;  (** per-domain begin-order sequence number *)
@@ -54,23 +67,7 @@ val reset : unit -> unit
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] inside a span called [name].  The
     span is closed (and recorded) even when [f] raises.  When tracing is
-    disabled this is exactly [f ()] after one atomic load (plus the
-    {!set_resource_wrapper} hook, itself one load when resource
-    collection is off). *)
-
-(** {2 Resource attribution hook}
-
-    {!Resource} layers per-span GC/allocation attribution onto the same
-    probes without Trace depending on it: at module-init time Resource
-    installs a wrapper that runs [f] inside a resource span of the same
-    name.  The wrapper runs whether or not wall-clock tracing is enabled
-    (the two subsystems toggle independently) and must keep the
-    one-atomic-load-when-off discipline.  Not intended for use outside
-    [Obs]. *)
-
-type resource_wrapper = { wrap : 'a. string -> (unit -> 'a) -> 'a }
-
-val set_resource_wrapper : resource_wrapper -> unit
+    disabled this is exactly [f ()] after one atomic load. *)
 
 val spans : unit -> span list
 (** Every closed span of the current collection, merged across domains
@@ -78,27 +75,11 @@ val spans : unit -> span list
     data, independent of wall-clock ties. *)
 
 val aggregate : unit -> (string * int * int) list
-(** Per-name rollup of {!spans}: [(name, count, total_ns)], sorted by
-    name.  Nested spans are {e not} subtracted from their parents; each
-    name's total is the sum of its own wall-clock durations. *)
+(** Per-name wall-clock rollup of {!spans}: [(name, count, total_ns)],
+    sorted by name.  Nested spans are {e not} subtracted from their
+    parents; each name's total is the sum of its own durations.
+    {!Resource.aggregate} rolls up the allocation the same way. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable table of {!aggregate}: one line per span name with
     count, total and mean wall-clock time. *)
-
-val to_chrome_json :
-  ?counters:(string * int) list ->
-  ?histograms:(string * (int * int) list) list ->
-  ?resources:string ->
-  unit ->
-  string
-(** The current collection as Chrome [trace_event] JSON (object format),
-    loadable in [chrome://tracing] and {{:https://ui.perfetto.dev}
-    Perfetto}.  Every span becomes a complete ([ph = "X"]) event with
-    microsecond [ts]/[dur], its domain as [tid] and its args attached;
-    [counters] (e.g. {!Counters.dump}) is embedded as a top-level
-    ["counters"] object and [histograms] (e.g. {!Histogram.dump}, as
-    [(upper_bound, count)] bucket lists) as a top-level ["histograms"]
-    object — trace viewers ignore both, scripts can read them back.
-    [resources] (a pre-rendered JSON object, {!Resource.rollup_json})
-    is embedded the same way under a top-level ["resources"] key. *)

@@ -302,11 +302,53 @@ let test_iteration_bound_scale () =
   check "layered 1000 seed 1" 29
     (Option.get (Dataflow.Iteration_bound.exact_ceil g))
 
+(* Whether some way of realising the node cycle [cyc], one edge per
+   hop, has the ratio [t/d]. *)
+let attains g (t, d) cyc =
+  List.exists
+    (fun edges ->
+      let sum f = List.fold_left (fun acc e -> acc + f e) 0 edges in
+      sum (fun e -> Csdfg.time g e.G.src) * d = t * sum Csdfg.delay)
+    (Digraph.Cycles.all_cycle_edges (Csdfg.graph g) cyc)
+
+(* The enumeration the witness replaced, as the reference: every
+   elementary cycle attaining the bound. *)
+let enumerated_critical g =
+  match Dataflow.Iteration_bound.exact g with
+  | None -> []
+  | Some b ->
+      Digraph.Cycles.elementary (Csdfg.graph g) |> List.filter (attains g b)
+
 let test_critical_cycles () =
-  let crit = Dataflow.Iteration_bound.critical_cycles fig1b in
-  check "one critical cycle" 1 (List.length crit);
-  let labels = List.map (Csdfg.label fig1b) (List.hd crit) in
+  check "fig1b has one critical cycle" 1
+    (List.length (enumerated_critical fig1b));
+  let labels =
+    List.map (Csdfg.label fig1b)
+      (Option.get (Dataflow.Iteration_bound.critical_cycle fig1b))
+  in
   Alcotest.(check (list string)) "it is E-F" [ "E"; "F" ] labels
+
+(* On random loops the witness is one of the enumerated critical cycles:
+   elementary, from its smallest node, with the ratio of [exact]. *)
+let test_critical_cycle_random =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"critical cycle attains exact"
+       (QCheck.int_range 0 100_000)
+       (fun seed ->
+         let g = Workloads.Random_gen.generate ~seed () in
+         match Dataflow.Iteration_bound.critical_cycle g with
+         | None -> Dataflow.Iteration_bound.exact g = None
+         | Some c -> List.mem c (enumerated_critical g)))
+
+(* Found at a size where the enumeration stops after 10^5 cycles. *)
+let test_critical_cycle_scale () =
+  let g = Workloads.Random_gen.layered ~nodes:1000 ~seed:1 () in
+  match
+    ( Dataflow.Iteration_bound.exact g,
+      Dataflow.Iteration_bound.critical_cycle g )
+  with
+  | Some b, Some c -> check_bool "attains the bound" true (attains g b c)
+  | _ -> Alcotest.fail "layered 1000 has a critical cycle"
 
 (* ------------------------------------------------------------------ *)
 (* Transform                                                            *)
@@ -493,6 +535,9 @@ let () =
           Alcotest.test_case "critical cycles" `Quick test_critical_cycles;
           Alcotest.test_case "exact at 1000 nodes" `Quick
             test_iteration_bound_scale;
+          test_critical_cycle_random;
+          Alcotest.test_case "critical cycle at 1000 nodes" `Quick
+            test_critical_cycle_scale;
         ] );
       ( "transform",
         [

@@ -527,6 +527,45 @@ let test_max_ratio_matches_enumeration =
          | exception Invalid_argument _ ->
              enumerated_max_ratio g ~num ~den = `Raises))
 
+(* The search's last witness is an elementary cycle whose own sums are
+   the maximum ratio, on graphs with parallel edges and self-loops. *)
+let test_critical_cycle_witness =
+  QCheck_alcotest.to_alcotest ~long:false
+    (QCheck.Test.make ~count:300
+       ~name:"critical cycle: elementary witness attaining the max ratio"
+       (QCheck.int_range 0 100_000)
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0xc1c |] in
+         let n = 1 + Random.State.int rng 7 in
+         let edges =
+           List.concat
+             (List.init n (fun a ->
+                  List.concat
+                    (List.init n (fun b ->
+                         if Random.State.float rng 1.0 < 0.3 then
+                           List.init (1 + Random.State.int rng 2) (fun _ ->
+                               edge a b
+                                 ( Random.State.int rng 13 - 3,
+                                   1 + Random.State.int rng 3 ))
+                         else []))))
+         in
+         let g = G.create ~n edges in
+         let num e = fst e.G.label and den e = snd e.G.label in
+         match
+           ( Digraph.Karp.critical_cycle g ~num ~den,
+             Digraph.Karp.maximum_cycle_ratio g ~num ~den )
+         with
+         | None, None -> not (Digraph.Cycles.has_cycle g)
+         | Some ((p, q), cycle), Some ratio ->
+             let sum f = List.fold_left (fun acc e -> acc + f e) 0 cycle in
+             let srcs = List.map (fun e -> e.G.src) cycle in
+             let next = List.tl srcs @ [ List.hd srcs ] in
+             (p, q) = ratio
+             && (sum num, sum den) = (p, q)
+             && List.for_all2 (fun e v -> e.G.dst = v) cycle next
+             && List.length (List.sort_uniq compare srcs) = List.length srcs
+         | _ -> false))
+
 (* A cycle whose denominator sum is not positive raises, whether the
    search meets it as a witness or never finds a positive cycle at all. *)
 let test_max_ratio_rejects_non_positive_denominator () =
@@ -739,6 +778,7 @@ let () =
           Alcotest.test_case "cycle edge variants cap" `Quick
             test_all_cycle_edges_cap;
           test_max_ratio_matches_enumeration;
+          test_critical_cycle_witness;
           Alcotest.test_case "max ratio rejects non-positive denominators"
             `Quick test_max_ratio_rejects_non_positive_denominator;
         ] );

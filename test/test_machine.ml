@@ -394,11 +394,8 @@ let test_per_pe_utilization () =
 
 let test_stall_counters_and_histograms () =
   Obs.Counters.enable ();
-  Obs.Histogram.enable ();
   Fun.protect
-    ~finally:(fun () ->
-      Obs.Counters.disable ();
-      Obs.Histogram.disable ())
+    ~finally:(fun () -> Obs.Counters.disable ())
     (fun () ->
       let g = Workloads.Dsp.correlator ~lags:4 in
       let topo = Topology.linear_array 8 in

@@ -12,16 +12,15 @@ module Schedule = Cyclo.Schedule
 module Compaction = Cyclo.Compaction
 
 module Journal = Obs.Journal
+module Profile = Obs.Profile
 
 let quiet () =
   Trace.disable ();
   Counters.disable ();
   Journal.disable ();
-  Histogram.disable ();
   Trace.reset ();
   Counters.reset ();
-  Journal.reset ();
-  Histogram.reset ()
+  Journal.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Fast path                                                            *)
@@ -37,6 +36,38 @@ let test_disabled_is_noop () =
   Counters.incr c ~by:10;
   Counters.set c 99;
   Alcotest.(check int) "counter untouched while disabled" 0 (Counters.value c)
+
+(* A disabled probe is one atomic load: 10^4 calls of each record
+   nothing and allocate not one minor word.  The probes' arguments are
+   built once, outside the measured loop. *)
+let noop () = ()
+let c_off = Counters.counter "test.off"
+let h_off = Histogram.histogram "test.off"
+let ev_off = Journal.Rotated { nodes = [ 1; 2 ] }
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+let test_disabled_allocates_nothing () =
+  quiet ();
+  List.iter
+    (fun (probe, f) ->
+      Alcotest.(check (float 0.))
+        (probe ^ " allocates nothing") 0. (minor_words_of f))
+    [
+      ("Trace.with_span", fun () -> Trace.with_span "off" noop);
+      ("Counters.incr", fun () -> Counters.incr c_off);
+      ("Histogram.observe", fun () -> Histogram.observe h_off 5);
+      ("Journal.record", fun () -> Journal.record ev_off);
+    ];
+  Alcotest.(check int) "no span" 0 (List.length (Trace.spans ()));
+  Alcotest.(check int) "no count" 0 (Counters.value c_off);
+  Alcotest.(check int) "no sample" 0 (Histogram.count h_off);
+  Alcotest.(check int) "no event" 0 (List.length (Journal.events ()))
 
 (* ------------------------------------------------------------------ *)
 (* Span recording                                                       *)
@@ -254,7 +285,7 @@ let test_histogram_disabled_is_noop () =
   Alcotest.(check int) "no samples while disabled" 0 (Histogram.count h)
 
 let test_histogram_bucketing () =
-  Histogram.enable ();
+  Counters.enable ();
   let h = Histogram.histogram "test.h.buckets" in
   (* bucket 0: v <= 0; bucket i >= 1: 2^(i-1) <= v < 2^i *)
   List.iter (Histogram.observe h) [ 0; -3; 1; 2; 3; 4; 7; 8; 1000 ];
@@ -279,7 +310,7 @@ let test_histogram_bucketing () =
   quiet ()
 
 let test_histogram_registry () =
-  Histogram.enable ();
+  Counters.enable ();
   let a = Histogram.histogram "test.h.a" in
   let b = Histogram.histogram "test.h.b" in
   Histogram.observe a 1;
@@ -297,7 +328,7 @@ let test_histogram_registry () =
   Alcotest.(check (option (list (pair int int))))
     "registered-but-empty included" (Some [])
     (List.assoc_opt "test.h.empty" (Histogram.dump ()));
-  Histogram.enable ();
+  Counters.enable ();
   Alcotest.(check int) "enable zeroes the registry" 0 (Histogram.count a);
   (* summary printer runs *)
   Histogram.observe a 42;
@@ -447,16 +478,16 @@ let json_valid s =
   | exception Exit -> false
 
 let test_chrome_export () =
-  Trace.enable ();
+  Profile.enable ();
   Trace.with_span "a\"quoted\"" ~args:[ ("k", "v\\w") ] (fun () ->
       Trace.with_span "b" (fun () -> ()));
-  Trace.disable ();
-  let json =
-    Trace.to_chrome_json
-      ~counters:[ ("c.one", 1); ("c.two", 2) ]
-      ~histograms:[ ("h.lat", [ (1, 3); (7, 2) ]); ("h.empty", []) ]
-      ()
-  in
+  Counters.incr (Counters.counter "c.one");
+  Counters.incr ~by:2 (Counters.counter "c.two");
+  let lat = Histogram.histogram "h.lat" in
+  List.iter (Histogram.observe lat) [ 1; 1; 1; 7; 7 ];
+  ignore (Histogram.histogram "h.empty");
+  Profile.disable ();
+  let json = Profile.to_chrome_json () in
   Alcotest.(check bool) "exporter output is valid JSON" true (json_valid json);
   let mem needle =
     let ln = String.length needle and n = String.length json in
@@ -471,8 +502,10 @@ let test_chrome_export () =
   Alcotest.(check bool) "histogram buckets embedded" true
     (mem "\"h.lat\": [[1, 3], [7, 2]]");
   Alcotest.(check bool) "escapes quotes in names" true (mem "a\\\"quoted\\\"");
+  Alcotest.(check bool) "has the resources block" true (mem "\"resources\"");
+  Trace.reset ();
   Alcotest.(check bool) "empty collection still valid" true
-    (json_valid (Trace.to_chrome_json ()));
+    (json_valid (Profile.to_chrome_json ()));
   quiet ()
 
 (* ------------------------------------------------------------------ *)
@@ -534,7 +567,11 @@ let () =
   Alcotest.run "obs"
     [
       ( "fast-path",
-        [ Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop ] );
+        [
+          Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
+          Alcotest.test_case "disabled probes allocate nothing" `Quick
+            test_disabled_allocates_nothing;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "nesting and order" `Quick test_nesting;

@@ -185,7 +185,7 @@ let test_pruning_counters () =
   let kind name =
     List.find_map
       (fun (n, k, _) -> if String.equal n name then Some k else None)
-      (Obs.Counters.dump_kinds ())
+      (Obs.Counters.snapshot ())
   in
   check_bool "shared_bound registered as a gauge" true
     (kind "portfolio.shared_bound" = Some Obs.Counters.Gauge);

@@ -1,10 +1,10 @@
-(* Resource attribution (Obs.Resource): the disabled fast path, span
-   nesting with per-domain monotone counters (children never account
-   for more allocation than their parent), process-level sampling, the
-   process/gc gauge families in the Prometheus exposition, and a golden
-   byte-identity test: enabling resource probes leaves the fig7 /
-   mesh-2x4 compacted schedule byte-identical to the golden
-   signature. *)
+(* Resource attribution (the allocation half of Obs.Trace spans, rolled
+   up by Obs.Resource): the disabled fast path, span nesting with
+   per-domain monotone counters (children never account for more
+   allocation than their parent), process-level sampling, the process/gc
+   gauge families in the Prometheus exposition, and a golden
+   byte-identity test: enabling span probes leaves the fig7 / mesh-2x4
+   compacted schedule byte-identical to the golden signature. *)
 
 module Trace = Obs.Trace
 module Counters = Obs.Counters
@@ -16,10 +16,8 @@ module Compaction = Cyclo.Compaction
 let quiet () =
   Trace.disable ();
   Counters.disable ();
-  Resource.disable ();
   Trace.reset ();
-  Counters.reset ();
-  Resource.reset ()
+  Counters.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Fast path                                                            *)
@@ -27,13 +25,13 @@ let quiet () =
 
 let test_disabled_is_noop () =
   quiet ();
-  let r = Resource.with_span "unrecorded" (fun () -> 41 + 1) in
+  let r = Trace.with_span "unrecorded" (fun () -> 41 + 1) in
   Alcotest.(check int) "with_span passes the result through" 42 r;
-  Alcotest.(check int) "no span recorded" 0 (List.length (Resource.spans ()));
-  (* the Trace wrapper path is also a no-op while Resource is off *)
+  Alcotest.(check int) "no span recorded" 0 (List.length (Trace.spans ()));
+  (* a second probe of another result type is a no-op too *)
   let r' = Trace.with_span "also.unrecorded" (fun () -> "ok") in
   Alcotest.(check string) "trace probe passes through" "ok" r';
-  Alcotest.(check int) "still no span" 0 (List.length (Resource.spans ()))
+  Alcotest.(check int) "still no span" 0 (List.length (Trace.spans ()))
 
 (* ------------------------------------------------------------------ *)
 (* Span nesting and attribution                                         *)
@@ -51,29 +49,29 @@ let churn n =
 
 let test_nesting_structure () =
   quiet ();
-  Resource.enable ();
+  Trace.enable ();
   let _ =
-    Resource.with_span "parent" (fun () ->
-        let a = Resource.with_span "child.a" (fun () -> churn 500) in
-        let b = Resource.with_span "child.b" (fun () -> churn 500) in
+    Trace.with_span "parent" (fun () ->
+        let a = Trace.with_span "child.a" (fun () -> churn 500) in
+        let b = Trace.with_span "child.b" (fun () -> churn 500) in
         a + b)
   in
-  Resource.disable ();
-  let spans = Resource.spans () in
+  Trace.disable ();
+  let spans = Trace.spans () in
   Alcotest.(check (list (pair int string)))
     "depth and begin order"
     [ (0, "parent"); (1, "child.a"); (1, "child.b") ]
-    (List.map (fun s -> (s.Resource.depth, s.Resource.name)) spans);
+    (List.map (fun s -> (s.Trace.depth, s.Trace.name)) spans);
   List.iter
     (fun s ->
-      Alcotest.(check int) "single domain" 0 s.Resource.domain;
-      Alcotest.(check bool) (s.Resource.name ^ " minor_words >= 0") true
-        (s.Resource.minor_words >= 0);
-      Alcotest.(check bool) (s.Resource.name ^ " top_heap growth >= 0") true
-        (s.Resource.top_heap_words >= 0))
+      Alcotest.(check int) "single domain" 0 s.Trace.domain;
+      Alcotest.(check bool) (s.Trace.name ^ " minor_words >= 0") true
+        (s.Trace.minor_words >= 0);
+      Alcotest.(check bool) (s.Trace.name ^ " top_heap growth >= 0") true
+        (s.Trace.top_heap_words >= 0))
     spans;
   Alcotest.(check (list int)) "per-domain seq numbers" [ 0; 1; 2 ]
-    (List.map (fun s -> s.Resource.seq) spans);
+    (List.map (fun s -> s.Trace.seq) spans);
   quiet ()
 
 (* Within one domain the GC counters are monotone, so the deltas of
@@ -83,35 +81,35 @@ let test_children_bounded_by_parent =
     QCheck.(list_of_size Gen.(1 -- 6) (100 -- 2_000))
     (fun sizes ->
       quiet ();
-      Resource.enable ();
+      Trace.enable ();
       let _ =
-        Resource.with_span "parent" (fun () ->
+        Trace.with_span "parent" (fun () ->
             List.iteri
               (fun i n ->
                 ignore
-                  (Resource.with_span
+                  (Trace.with_span
                      (Printf.sprintf "child.%d" i)
                      (fun () -> churn n)))
               sizes)
       in
-      Resource.disable ();
-      let spans = Resource.spans () in
+      Trace.disable ();
+      let spans = Trace.spans () in
       let parent =
-        List.find (fun s -> s.Resource.name = "parent") spans
+        List.find (fun s -> s.Trace.name = "parent") spans
       in
       let children =
-        List.filter (fun s -> s.Resource.depth = 1) spans
+        List.filter (fun s -> s.Trace.depth = 1) spans
       in
       let sum f = List.fold_left (fun a s -> a + f s) 0 children in
       let ok =
         List.length children = List.length sizes
-        && sum (fun s -> s.Resource.minor_words) <= parent.Resource.minor_words
-        && sum (fun s -> s.Resource.major_words) <= parent.Resource.major_words
-        && sum (fun s -> s.Resource.minor_collections)
-           <= parent.Resource.minor_collections
-        && sum (fun s -> s.Resource.major_collections)
-           <= parent.Resource.major_collections
-        && List.for_all (fun s -> s.Resource.minor_words >= 0) spans
+        && sum (fun s -> s.Trace.minor_words) <= parent.Trace.minor_words
+        && sum (fun s -> s.Trace.major_words) <= parent.Trace.major_words
+        && sum (fun s -> s.Trace.minor_collections)
+           <= parent.Trace.minor_collections
+        && sum (fun s -> s.Trace.major_collections)
+           <= parent.Trace.major_collections
+        && List.for_all (fun s -> s.Trace.minor_words >= 0) spans
       in
       quiet ();
       ok)
@@ -182,11 +180,11 @@ let test_gauges_in_exposition () =
 
 let test_rollup_json () =
   quiet ();
-  Resource.enable ();
-  ignore (Resource.with_span "phase.one" (fun () -> churn 1_000));
-  ignore (Resource.with_span "phase.one" (fun () -> churn 1_000));
-  ignore (Resource.with_span "phase.two" (fun () -> churn 1_000));
-  Resource.disable ();
+  Trace.enable ();
+  ignore (Trace.with_span "phase.one" (fun () -> churn 1_000));
+  ignore (Trace.with_span "phase.one" (fun () -> churn 1_000));
+  ignore (Trace.with_span "phase.two" (fun () -> churn 1_000));
+  Trace.disable ();
   let json = Resource.rollup_json () in
   match Obs.Json.parse json with
   | Error m -> Alcotest.fail ("rollup is not valid JSON: " ^ m)
@@ -229,13 +227,13 @@ let test_golden_with_probes () =
   in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
   quiet ();
-  Resource.enable ();
+  Trace.enable ();
   let r = Compaction.run_on ~validate:false g topo in
-  Resource.disable ();
+  Trace.disable ();
   Alcotest.(check string)
     "schedule byte-identical with resource probes on" fig7_mesh2x4_best
     (Schedule.signature r.Compaction.best);
-  (* attribution rode the Trace probes even with wall-clock tracing off *)
+  (* the pipeline's own spans carry the allocation *)
   let agg = Resource.aggregate () in
   let rollup name = List.assoc_opt name agg in
   Alcotest.(check bool) "compaction.run attributed" true

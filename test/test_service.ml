@@ -462,7 +462,6 @@ let test_inline_graph_round_trips () =
 
 let test_engine_metrics_and_health () =
   Obs.Counters.enable ();
-  Obs.Histogram.enable ();
   let e = Engine.create () in
   ignore (Engine.handle_line e (sched_line "fig7" "ring:8"));
   ignore (Engine.handle_line e (sched_line "fig7" "ring:8"));
@@ -498,8 +497,7 @@ let test_engine_metrics_and_health () =
       check "capacity" 256 health.P.cache_capacity;
       check_str "no replan yet" "none" health.P.last_replan
   | _ -> Alcotest.fail "expected a health reply");
-  Obs.Counters.disable ();
-  Obs.Histogram.disable ()
+  Obs.Counters.disable ()
 
 let contains line sub =
   let ls = String.length sub and n = String.length line in

@@ -225,6 +225,35 @@ let test_deterministic () =
   let s2 = Startup.run_on fig1b (paper_mesh ()) in
   check "same result" 0 (Schedule.compare_assignments s1 s2)
 
+(* With the journal on, the sweep probes every ready node at every step
+   (each rejection is an event); with it off, it skips the steps where
+   every processor is busy.  On loops big enough to keep every processor
+   of the machine busy, the off run must take that skip (counted in
+   startup.steps_skipped; node times up to 8 steps make it jump in every
+   case) and both runs must build the same schedule. *)
+let test_journal_on_equals_off =
+  QCheck.Test.make ~count:6
+    ~name:"journal on = off on busy machines (layered, 2-8 PEs)"
+    QCheck.(
+      make
+        ~print:Print.(triple int int int)
+        Gen.(triple (int_range 200 2000) (int_range 2 8) (int_range 0 10_000)))
+    (fun (nodes, np, seed) ->
+      let g = Workloads.Random_gen.layered ~max_time:8 ~nodes ~seed () in
+      let topo = Topology.linear_array np in
+      let run () = Schedule.signature (Startup.run_on g topo) in
+      Obs.Counters.enable ();
+      let off = run () in
+      let skipped =
+        Obs.Counters.value (Obs.Counters.counter "startup.steps_skipped")
+      in
+      Obs.Counters.disable ();
+      Obs.Journal.enable ();
+      let on = run () in
+      Obs.Journal.disable ();
+      Obs.Journal.reset ();
+      skipped > 0 && String.equal off on)
+
 let () =
   Alcotest.run "startup"
     [
@@ -254,6 +283,7 @@ let () =
           Alcotest.test_case "all workloads x architectures" `Quick
             test_all_workloads_valid_everywhere;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          QCheck_alcotest.to_alcotest test_journal_on_equals_off;
         ] );
       ( "strategies",
         [

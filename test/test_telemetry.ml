@@ -93,11 +93,11 @@ let prop_render_parse_agree =
     ~name:"rendered registry scrapes parse, cumulative, +Inf == _count"
     QCheck.(list_of_size (QCheck.Gen.int_range 0 40) (int_bound 1_000_000))
     (fun values ->
-      Obs.Histogram.enable ();
+      Obs.Counters.enable ();
       (* enable resets, so each iteration starts from zero *)
       List.iter (Obs.Histogram.observe h_prop) values;
       let text = E.render () in
-      Obs.Histogram.disable ();
+      Obs.Counters.disable ();
       match E.parse text with
       | Error m -> QCheck.Test.fail_reportf "parse rejected render: %s" m
       | Ok fams -> (
@@ -291,11 +291,11 @@ let test_registry_snapshots () =
     (List.mem ("telemetry.snap_gauge", Obs.Counters.Gauge, 9) snap);
   check_bool "snapshot is sorted" true
     (List.sort compare snap = snap);
-  Obs.Histogram.enable ();
+  Obs.Counters.enable ();
   let h = Obs.Histogram.histogram "telemetry.snap_hist" in
   List.iter (Obs.Histogram.observe h) [ 1; 2; 100 ];
   let s = Obs.Histogram.snap h in
-  Obs.Histogram.disable ();
+  Obs.Counters.disable ();
   check "snapshot count" 3 s.Obs.Histogram.s_count;
   check "snapshot sum" 103 s.Obs.Histogram.s_sum;
   check "count equals bucket total" 3
