@@ -63,22 +63,6 @@ let migration_volume sched v =
 let c_replans = Obs.Counters.counter "degrade.replans"
 let c_patch_fallbacks = Obs.Counters.counter "degrade.patch_fallbacks"
 
-(* Communication a placement of [v] on [p] adds against its already
-   assigned neighbours — the tie-breaker mirroring Remap's candidate
-   ranking. *)
-let adjacent_comm dfg dcomm sched v p =
-  let one acc (e : Csdfg.attr G.edge) =
-    let other = if e.G.src = v then e.G.dst else e.G.src in
-    if other <> v && Schedule.is_assigned sched other then
-      let q = Schedule.pe sched other in
-      let src, dst = if e.G.src = v then (p, q) else (q, p) in
-      acc + Comm.cost dcomm ~src ~dst ~volume:(Csdfg.volume e)
-    else acc
-  in
-  List.fold_left one
-    (List.fold_left one 0 (Csdfg.pred dfg v))
-    (Csdfg.succ dfg v)
-
 let valid_on dsched dtopo =
   Validator.is_legal dsched
   && Validator.check_topology dsched dtopo = Ok ()
@@ -124,12 +108,9 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
       let dspeeds = Array.map (fun p -> speeds.(p)) surviving in
       let dcomm = Comm.of_topology dtopo in
       let nodes = Csdfg.nodes dfg in
-      let dnp = Array.length surviving in
       (* Patch: survivors pinned at their control steps, victims
-         re-placed one at a time in static order by the same candidate
-         search Remap uses — earliest admissible step (anticipation
-         function, then first idle slot), ties broken by added
-         communication, then processor id. *)
+         re-placed one at a time in static order by Remap's candidate
+         search, scored by earliest step against the old length. *)
       let patch () =
         let base =
           List.fold_left
@@ -149,20 +130,11 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
                  | 0 -> compare a b
                  | c -> c)
         in
-        let target = Schedule.length sched in
         let place s v =
-          let best = ref (max_int, max_int, -1) in
-          for p = 0 to dnp - 1 do
-            let span = Schedule.duration s ~node:v ~pe:p in
-            let an =
-              Timing.earliest_start s ~node:v ~pe:p ~target_length:target
-            in
-            let cs = Schedule.first_free_slot s ~pe:p ~from:(max 1 an) ~span in
-            let cand = (cs, adjacent_comm dfg dcomm s v p, p) in
-            if cand < !best then best := cand
-          done;
-          let cs, _, p = !best in
-          Schedule.assign s ~node:v ~cb:cs ~pe:p
+          (* an unlimited search always finds a slot *)
+          Option.get
+            (Remap.place_node ~scoring:Remap.Earliest_step ~limit:None
+               ~target:(Schedule.length sched) s v)
         in
         let s = List.fold_left place base victims in
         let s = Schedule.set_length s (Timing.required_length s) in
