@@ -1,5 +1,5 @@
 (* Memory attribution over Trace's spans, and process-level memory
-   gauges.  A span already carries the [Gc.quick_stat] deltas of its
+   gauges.  A span already carries the allocation deltas of its
    window (Trace reads them at open and close); this module rolls them
    up by name, samples the process as a whole, and publishes that
    sample into the Counters registry. *)

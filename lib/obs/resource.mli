@@ -1,7 +1,7 @@
 (** Where the memory went: a per-name rollup of the allocation that
     {!Trace} spans record, and process-level memory gauges.
 
-    Every {!Trace.span} carries the [Gc.quick_stat] deltas of its own
+    Every {!Trace.span} carries the allocation deltas of its own
     window — words allocated and promoted, collections run, top-heap
     growth — so {!aggregate} needs no switch of its own: it reads
     {!Trace.spans}, and is empty while tracing is off.

@@ -4,8 +4,9 @@
     scheduler run, one compaction pass, one simulator execution —
     opened and closed by {!with_span}.  It records where the wall-clock
     went (the monotonic clock, read at open and close) and where the
-    memory went ([Gc.quick_stat] deltas over the same window: words
-    allocated and promoted, collections run, top-heap growth).  Spans
+    memory went (deltas over the same window: exact minor words from
+    [Gc.minor_words], then from [Gc.quick_stat] words promoted and
+    allocated in the major heap, collections run, top-heap growth).  Spans
     nest: a span opened while another is running records the enclosing
     depth, so exporters can reconstruct the call tree without walking
     the runtime stack.

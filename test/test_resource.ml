@@ -74,6 +74,23 @@ let test_nesting_structure () =
     (List.map (fun s -> s.Trace.seq) spans);
   quiet ()
 
+(* A span's minor words are exact, not rounded to the last minor
+   collection: a body that conses 1,000 list cells (3 words each)
+   reports them, plus the few words the probe itself allocates. *)
+let test_minor_words_exact () =
+  quiet ();
+  Trace.enable ();
+  let rec build n acc = if n = 0 then acc else build (n - 1) (n :: acc) in
+  let l = Trace.with_span "conses" (fun () -> build 1000 []) in
+  Trace.disable ();
+  Alcotest.(check int) "list built" 1000 (List.length l);
+  let s = List.find (fun s -> s.Trace.name = "conses") (Trace.spans ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "3000..3100 minor words (got %d)" s.Trace.minor_words)
+    true
+    (s.Trace.minor_words >= 3000 && s.Trace.minor_words <= 3100);
+  quiet ()
+
 (* Within one domain the GC counters are monotone, so the deltas of
    nested child spans can sum to at most their enclosing parent's. *)
 let test_children_bounded_by_parent =
@@ -260,6 +277,7 @@ let () =
         [
           Alcotest.test_case "nesting structure" `Quick
             test_nesting_structure;
+          Alcotest.test_case "exact minor words" `Quick test_minor_words_exact;
           QCheck_alcotest.to_alcotest test_children_bounded_by_parent;
         ] );
       ( "process",
