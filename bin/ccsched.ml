@@ -748,16 +748,19 @@ let validate_cmd =
             String.sub line (String.length prefix)
               (String.length line - String.length prefix)
           in
-          let parsed =
-            String.split_on_char ',' body |> List.map int_of_string_opt
+          let entry x =
+            match int_of_string_opt x with
+            | Some r -> r
+            | None ->
+                die 3 (Printf.sprintf "bad retiming in CSV: entry %S" x)
           in
-          if List.exists Option.is_none parsed then g
-          else
-            let r = Array.of_list (List.map Option.get parsed) in
-            match Dataflow.Retiming.apply g r with
-            | retimed -> retimed
-            | exception Invalid_argument msg ->
-                die 3 ("bad retiming in CSV: " ^ msg))
+          let r =
+            Array.of_list (List.map entry (String.split_on_char ',' body))
+          in
+          match Dataflow.Retiming.apply g r with
+          | retimed -> retimed
+          | exception Invalid_argument msg ->
+              die 3 ("bad retiming in CSV: " ^ msg))
     in
     match Cyclo.Export.of_csv ?speeds:k.speeds g comm text with
     | Error msg -> die 3 msg
