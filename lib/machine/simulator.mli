@@ -13,7 +13,16 @@
     have arrived and the processor is free.  Under the contention-free
     policy a legal schedule's execution can never fall behind the static
     timing, so the measured makespan is at most
-    [(iterations - 1) * L + max CE] — a property the test suite checks. *)
+    [(iterations - 1) * L + max CE] — a property the test suite checks.
+
+    One event loop runs every simulation; only the crossing of a link
+    depends on the transport, and the transport only on whether
+    [faults] is given.  Without it, contention-free and wormhole
+    transfers are computed analytically and FIFO store-and-forward is
+    stepped hop by hop; with it, store-and-forward is stepped hop by hop
+    under either policy.  Known defect: without [faults], a FIFO link
+    can be held by two messages in overlapping windows (docs/model.md,
+    "Execution semantics"). *)
 
 type policy =
   | Contention_free  (** infinite channels per link (the paper's model) *)
