@@ -1,21 +1,16 @@
 module Csdfg = Dataflow.Csdfg
 
-let assigned_nodes sched =
-  List.filter (Schedule.is_assigned sched) (Csdfg.nodes (Schedule.dfg sched))
-
 let to_csv sched =
   let dfg = Schedule.dfg sched in
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "# length=%d\n" (Schedule.length sched));
+  Printf.bprintf buf "# length=%d\n" (Schedule.length sched);
   Buffer.add_string buf "node,label,cb,ce,pe\n";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%s,%d,%d,%d\n" v (Csdfg.label dfg v)
-           (Schedule.cb sched v) (Schedule.ce sched v)
-           (Schedule.pe sched v + 1)))
-    (assigned_nodes sched);
+  Schedule.iter_placements
+    (fun v ~cb ~pe ->
+      Printf.bprintf buf "%d,%s,%d,%d,%d\n" v (Csdfg.label dfg v) cb
+        (cb + Schedule.duration sched ~node:v ~pe - 1)
+        (pe + 1))
+    sched;
   Buffer.contents buf
 
 let of_csv ?speeds dfg comm text =
@@ -82,7 +77,7 @@ let of_csv ?speeds dfg comm text =
                    l needed)
           | None -> Ok (Schedule.set_length sched needed)))
 
-let json_escape = Obs.Json.Writer.escape
+module W = Obs.Json.Writer
 
 let to_json sched =
   let dfg = Schedule.dfg sched in
@@ -91,23 +86,27 @@ let to_json sched =
     (Printf.sprintf
        "{\"graph\":\"%s\",\"comm\":\"%s\",\"length\":%d,\"processors\":%d,\
         \"assignments\":["
-       (json_escape (Csdfg.name dfg))
-       (json_escape (Comm.name (Schedule.comm sched)))
+       (W.escape (Csdfg.name dfg))
+       (W.escape (Comm.name (Schedule.comm sched)))
        (Schedule.length sched)
        (Schedule.n_processors sched));
   let first = ref true in
-  List.iter
-    (fun v ->
-      if not !first then Buffer.add_char buf ',';
+  Schedule.iter_placements
+    (fun v ~cb ~pe ->
+      let time = Schedule.duration sched ~node:v ~pe in
+      Buffer.add_string buf (if !first then "{" else ",{");
       first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"node\":\"%s\",\"cb\":%d,\"ce\":%d,\"pe\":%d,\"time\":%d}"
-           (json_escape (Csdfg.label dfg v))
-           (Schedule.cb sched v) (Schedule.ce sched v)
-           (Schedule.pe sched v + 1)
-           (Schedule.duration sched ~node:v ~pe:(Schedule.pe sched v))))
-    (assigned_nodes sched);
+      W.add_field_str buf "node" (Csdfg.label dfg v);
+      Buffer.add_char buf ',';
+      W.add_field_int buf "cb" cb;
+      Buffer.add_char buf ',';
+      W.add_field_int buf "ce" (cb + time - 1);
+      Buffer.add_char buf ',';
+      W.add_field_int buf "pe" (pe + 1);
+      Buffer.add_char buf ',';
+      W.add_field_int buf "time" time;
+      Buffer.add_char buf '}')
+    sched;
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
@@ -229,24 +228,21 @@ let to_svg ?(cell_width = 48) ?(cell_height = 28) sched =
     done
   done;
   (* task boxes *)
-  List.iter
-    (fun v ->
-      let cb = Schedule.cb sched v and pe = Schedule.pe sched v in
+  Schedule.iter_placements
+    (fun v ~cb ~pe ->
       let span = Schedule.duration sched ~node:v ~pe in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" \
-            fill=\"#9ecae8\" stroke=\"#333\"/>\n"
-           (margin_left + ((cb - 1) * cell_width))
-           (margin_top + (pe * cell_height))
-           (span * cell_width) cell_height);
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<text x=\"%d\" y=\"%d\" text-anchor=\"middle\">%s</text>\n"
-           (margin_left + ((cb - 1) * cell_width) + (span * cell_width / 2))
-           (margin_top + (pe * cell_height) + (cell_height / 2) + 4)
-           (Csdfg.label dfg v)))
-    (assigned_nodes sched);
+      Printf.bprintf buf
+        "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" \
+         fill=\"#9ecae8\" stroke=\"#333\"/>\n"
+        (margin_left + ((cb - 1) * cell_width))
+        (margin_top + (pe * cell_height))
+        (span * cell_width) cell_height;
+      Printf.bprintf buf
+        "<text x=\"%d\" y=\"%d\" text-anchor=\"middle\">%s</text>\n"
+        (margin_left + ((cb - 1) * cell_width) + (span * cell_width / 2))
+        (margin_top + (pe * cell_height) + (cell_height / 2) + 4)
+        (Csdfg.label dfg v))
+    sched;
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 

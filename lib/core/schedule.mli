@@ -15,11 +15,15 @@
     by start, maintained by {!assign} / {!unassign}) rather than by
     scanning every node: with [k] the number of nodes on the queried
     processor, {!is_free} and {!node_at} are one O(log k) neighbour
-    lookup, {!first_free_slot} one per occupied run it jumps, and
-    {!first_row} and {!rows_needed} O(P log k) over the per-PE
-    extremes.  Rows are stored with a per-schedule offset, so
-    {!shift_up} moves the whole table without touching a placement.
-    docs/model.md, "Scheduler complexity", has the full table. *)
+    lookup, {!first_free_slot} one O(log k) split and then an in-order
+    walk over the runs it jumps, and {!first_row} and {!rows_needed}
+    O(P log k) over the per-PE extremes.  Whole-schedule reads
+    ({!iter_placements}, and through it {!hash}, {!signature},
+    {!compare_assignments}, the validator and the exports) walk the node
+    table once in id order: O(V), with no lookup per node.  Rows are
+    stored with a per-schedule offset, so {!shift_up} moves the whole
+    table without touching a placement.  docs/model.md, "Scheduler
+    complexity", has the full table. *)
 
 type entry = { cb : int; pe : int }
 
@@ -93,6 +97,11 @@ val node_at : t -> pe:int -> cs:int -> int option
 
 val first_free_slot : t -> pe:int -> from:int -> span:int -> int
 (** Earliest [cs >= from] such that the span fits on the processor. *)
+
+val iter_placements : (int -> cb:int -> pe:int -> unit) -> t -> unit
+(** [iter_placements f t] calls [f v ~cb ~pe] once per assigned node, in
+    ascending node id, with table rows: one in-order walk of the node
+    table, O(V) with no per-node lookup. *)
 
 val first_row : t -> int list
 (** Nodes with [CB = 1], ascending (the rotation set [J], Definition 4.1). *)

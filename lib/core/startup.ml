@@ -44,13 +44,17 @@ let setup_for dfg =
   match !slot with
   | Some s when s.graph == dfg -> s
   | _ ->
-      (match Csdfg.validate dfg with
-      | Ok () -> ()
-      | Error _ -> invalid_arg "Startup.run: illegal CSDFG");
-      (* One zero-delay DAG and one topological order serve ASAP/ALAP,
-         the static levels and the sweep. *)
+      (* One zero-delay DAG and one topological order serve the legality
+         check, ASAP/ALAP, the static levels and the sweep: a graph is
+         legal when that DAG has no cycle.  Times, volumes and delays need
+         no check here, since every [Csdfg.t] constructor ([make],
+         [of_graph], [redelay]) already rejects bad ones. *)
       let dag = Csdfg.zero_delay_graph dfg in
-      let order = Digraph.Topo.sort_exn dag in
+      let order =
+        match Digraph.Topo.sort dag with
+        | Some order -> order
+        | None -> invalid_arg "Startup.run: illegal CSDFG"
+      in
       let s =
         {
           graph = dfg;

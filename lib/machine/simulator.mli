@@ -47,7 +47,9 @@ type stats = {
   average_period : float;
       (** asymptotic control steps per iteration, measured over the
           second half of the run to skip pipeline fill *)
-  messages : int;  (** cross-processor messages delivered *)
+  messages : int;
+      (** cross-processor messages sent, delivered or not: under faults,
+          the delivered ones plus the report's [undelivered] *)
   message_hops : int;  (** total link traversals *)
   max_link_backlog : int;
       (** worst number of messages ever waiting on one directed link

@@ -153,6 +153,54 @@ let test_topo_respects_edges () =
   let g = two_sccs () in
   check_bool "cyclic graph has no order" true (Digraph.Topo.sort g = None)
 
+(* Kahn's algorithm with the ready set in a [Set], smallest id first:
+   the order [Topo.sort] must keep now that its ready set is a heap. *)
+let reference_topo_sort g =
+  let module S = Set.Make (Int) in
+  let n = G.n_nodes g in
+  let indeg = Array.init n (G.in_degree g) in
+  let rec go ready acc =
+    match S.min_elt_opt ready with
+    | None -> if List.length acc = n then Some (List.rev acc) else None
+    | Some v ->
+        let release ready e =
+          let w = e.G.dst in
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then S.add w ready else ready
+        in
+        go (List.fold_left release (S.remove v ready) (G.succ g v)) (v :: acc)
+  in
+  go (S.of_list (List.filter (fun v -> indeg.(v) = 0) (G.nodes g))) []
+
+(* Random DAGs (every edge goes up a random ranking of the nodes) and,
+   half the time, graphs with edges in any direction, self-loops
+   included, which mostly hold cycles; parallel edges in both. *)
+let test_topo_sort_matches_reference =
+  QCheck_alcotest.to_alcotest ~long:false
+    (QCheck.Test.make ~count:500
+       ~name:"topo sort = set-based reference (DAGs and cyclic graphs)"
+       (QCheck.int_range 0 100_000)
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0x70b0 |] in
+         let n = Random.State.int rng 14 in
+         let rank = Array.init n (fun _ -> Random.State.bits rng) in
+         let cyclic = Random.State.bool rng in
+         let edges =
+           List.concat
+             (List.init n (fun a ->
+                  List.concat
+                    (List.init n (fun b ->
+                         if
+                           (cyclic || rank.(a) < rank.(b))
+                           && Random.State.float rng 1.0 < 0.25
+                         then
+                           List.init (1 + Random.State.int rng 2) (fun _ ->
+                               edge a b ())
+                         else []))))
+         in
+         let g = G.create ~n edges in
+         Digraph.Topo.sort g = reference_topo_sort g))
+
 let test_layers () =
   let g = diamond () in
   match Digraph.Topo.layers g with
@@ -730,6 +778,7 @@ let () =
           Alcotest.test_case "sort" `Quick test_topo_sort;
           Alcotest.test_case "cyclic" `Quick test_topo_cyclic;
           Alcotest.test_case "cyclic two sccs" `Quick test_topo_respects_edges;
+          test_topo_sort_matches_reference;
           Alcotest.test_case "layers" `Quick test_layers;
           Alcotest.test_case "longest path" `Quick test_longest_path;
           Alcotest.test_case "longest path empty" `Quick test_longest_path_empty;

@@ -211,6 +211,30 @@ let test_lossy_links_retry_and_drop () =
       check_bool "no permanent fault" true (r.Faults.fault_time = None);
       check "nothing to recover from" 0 r.Faults.recovery_latency
 
+(* [messages] counts every message sent: the deliveries in the event log
+   plus the ones the report gives up on. *)
+let test_messages_count_sends () =
+  let g = Workloads.Examples.fig7 in
+  let topo = Topology.mesh ~rows:2 ~cols:4 in
+  let s = compacted g topo in
+  let sc =
+    Faults.scenario ~max_retries:1 ~name:"lossy"
+      [ Faults.Link_lossy { a = 0; b = 1; loss = 0.5 };
+        Faults.Link_lossy { a = 1; b = 2; loss = 0.5 } ]
+  in
+  let r = Events.recorder () in
+  let stats =
+    Sim.execute ~recorder:r ~faults:(Faults.arm ~seed:1 sc) s topo
+      ~iterations:40
+  in
+  match stats.Sim.faults with
+  | None -> Alcotest.fail "fault run must carry a report"
+  | Some report ->
+      check_bool "some messages never arrive" true
+        (report.Faults.undelivered > 0);
+      check "sent = delivered + undelivered" stats.Sim.messages
+        (Events.deliveries (Events.events r) + report.Faults.undelivered)
+
 (* {2 Transient link outage} *)
 
 let test_transient_window_delays_but_recovers () =
@@ -396,6 +420,8 @@ let () =
         [
           Alcotest.test_case "lossy retries" `Quick
             test_lossy_links_retry_and_drop;
+          Alcotest.test_case "messages count sends" `Quick
+            test_messages_count_sends;
           Alcotest.test_case "transient window" `Quick
             test_transient_window_delays_but_recovers;
           Alcotest.test_case "fail-stop recovers" `Quick

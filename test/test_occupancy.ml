@@ -48,6 +48,29 @@ module Spec = struct
       (fun (v, (e : Schedule.entry)) -> if e.cb = 1 then Some v else None)
       (entries s)
     |> List.sort compare
+
+  (* Every node in id order, assigned or not: (cb, pe), or (-1, -1). *)
+  let dense s =
+    List.map
+      (fun v ->
+        match Schedule.entry s v with
+        | Some e -> (e.cb, e.pe)
+        | None -> (-1, -1))
+      (Csdfg.nodes (Schedule.dfg s))
+
+  (* FNV-1a over the length, then per node cb and pe, or -1 for an
+     unassigned one, in id order. *)
+  let hash s =
+    let mix h x = (h lxor x) * 0x100000001b3 in
+    let h = ref (mix 0x2545f4914f6cdd1d (Schedule.length s)) in
+    List.iter
+      (fun (cb, pe) ->
+        h := if pe < 0 then mix !h (-1) else mix (mix !h cb) pe)
+      (dense s);
+    !h land max_int
+
+  let compare_assignments a b =
+    compare (Schedule.length a, dense a) (Schedule.length b, dense b)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -155,6 +178,36 @@ let prop_hash_consistent =
       && (Schedule.compare_assignments s1 s3 = 0
          || Schedule.hash s1 <> Schedule.hash s3))
 
+(* The placement walk yields exactly the assigned nodes, ascending, with
+   their table rows; the digests read through it keep their dense-order
+   values, unassigned gaps included. *)
+let prop_walk_matches_spec =
+  QCheck.Test.make ~count:300
+    ~name:"placement walk and dense-order digests agree with the spec"
+    seed_arb (fun seed ->
+      let s = schedule_of_seed seed and other = schedule_of_seed (seed + 1) in
+      let walked = ref [] in
+      Schedule.iter_placements
+        (fun v ~cb ~pe -> walked := (v, cb, pe) :: !walked)
+        s;
+      let assigned =
+        List.filter_map
+          (fun v ->
+            if Schedule.is_assigned s v then
+              Some (v, Schedule.cb s v, Schedule.pe s v)
+            else None)
+          (Csdfg.nodes (Schedule.dfg s))
+      in
+      if List.rev !walked <> assigned then
+        QCheck.Test.fail_reportf "walk differs from the assigned nodes";
+      if Schedule.hash s <> Spec.hash s then
+        QCheck.Test.fail_reportf "hash %d, dense-order FNV-1a %d"
+          (Schedule.hash s) (Spec.hash s);
+      List.for_all
+        (fun (a, b) ->
+          Schedule.compare_assignments a b = Spec.compare_assignments a b)
+        [ (s, other); (other, s); (s, s) ])
+
 let prop_shift_up_matches_spec =
   QCheck.Test.make ~count:200
     ~name:"shift_up keeps index and entries in sync" seed_arb
@@ -188,6 +241,7 @@ let () =
           [
             prop_queries_match_spec;
             prop_hash_consistent;
+            prop_walk_matches_spec;
             prop_shift_up_matches_spec;
           ] );
     ]

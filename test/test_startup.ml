@@ -170,6 +170,17 @@ let test_illegal_input_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The zero-delay cycle is found by start-up's own topological sort; the
+   error is the one callers have always matched on. *)
+let test_zero_delay_cycle_message () =
+  let bad =
+    Csdfg.make ~name:"bad" ~nodes:[ ("A", 1); ("B", 2); ("C", 1) ]
+      ~edges:[ ("A", "B", 0, 1); ("B", "C", 0, 1); ("C", "B", 0, 2) ]
+  in
+  Alcotest.check_raises "illegal CSDFG"
+    (Invalid_argument "Startup.run: illegal CSDFG") (fun () ->
+      ignore (Startup.run_on bad (Topology.complete 2)))
+
 let test_all_workloads_valid_everywhere () =
   let architectures =
     [
@@ -280,6 +291,8 @@ let () =
             test_expensive_comm_keeps_one_processor;
           Alcotest.test_case "psl padding" `Quick test_psl_padding;
           Alcotest.test_case "illegal input" `Quick test_illegal_input_rejected;
+          Alcotest.test_case "zero-delay cycle message" `Quick
+            test_zero_delay_cycle_message;
           Alcotest.test_case "all workloads x architectures" `Quick
             test_all_workloads_valid_everywhere;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
