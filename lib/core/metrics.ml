@@ -1,24 +1,20 @@
 module Csdfg = Dataflow.Csdfg
 
 let busy_steps sched =
-  let dfg = Schedule.dfg sched in
-  List.fold_left
-    (fun acc v ->
-      if Schedule.is_assigned sched v then
-        acc + Schedule.duration sched ~node:v ~pe:(Schedule.pe sched v)
-      else acc)
-    0 (Csdfg.nodes dfg)
+  let busy = ref 0 in
+  Schedule.iter_placements
+    (fun v ~cb:_ ~pe -> busy := !busy + Schedule.duration sched ~node:v ~pe)
+    sched;
+  !busy
 
 let utilization sched =
   let cells = Schedule.length sched * Schedule.n_processors sched in
   if cells = 0 then 0. else float_of_int (busy_steps sched) /. float_of_int cells
 
 let processors_used sched =
-  let dfg = Schedule.dfg sched in
-  Csdfg.nodes dfg
-  |> List.filter_map (fun v ->
-         if Schedule.is_assigned sched v then Some (Schedule.pe sched v) else None)
-  |> List.sort_uniq compare |> List.length
+  let used = Array.make (Schedule.n_processors sched) false in
+  Schedule.iter_placements (fun _ ~cb:_ ~pe -> used.(pe) <- true) sched;
+  Array.fold_left (fun n u -> if u then n + 1 else n) 0 used
 
 let speedup_vs_sequential sched =
   let len = Schedule.length sched in
