@@ -316,7 +316,7 @@ let reference_check s =
       | l -> Error l)
 
 let prop_check_equals_reference =
-  QCheck.Test.make ~count:150
+  QCheck.Test.make ~count:300
     ~name:"check = naive reference on perturbed, shifted, partial schedules"
     pair_arb (fun (gseed, aseed) ->
       let rng = Random.State.make [| aseed; gseed |] in
@@ -340,9 +340,18 @@ let prop_check_equals_reference =
         else
           let v = Random.State.int rng (Csdfg.n_nodes g) in
           let s =
-            match Random.State.int rng 4 with
+            match Random.State.int rng 6 with
             | 0 when Schedule.is_assigned s v -> Schedule.unassign s v
             | 1 -> Schedule.normalize s
+            | 2 ->
+                (* dearer links: the same placements may now be too tight *)
+                Schedule.with_comm s
+                  (Comm.scaled topo ~factor:(2 + Random.State.int rng 2))
+            | 3 ->
+                (* re-timed delays, zero-delay cycles included *)
+                Schedule.with_dfg s
+                  (Csdfg.redelay (Schedule.dfg s) ~nodes:(Csdfg.nodes g)
+                     (fun _ -> Random.State.int rng 2))
             | _ -> (
                 (* a move onto an unassigned node, or onto a slot too
                    short on a slower processor, keeps [s] *)
