@@ -57,12 +57,13 @@ module Naive = struct
     in
     List.iter promote (Csdfg.nodes dfg);
     let sched = ref (Schedule.empty dfg comm) in
+    let ce = Array.make n 0 in
     let unscheduled = ref n in
     let cs = ref 1 in
     while !unscheduled > 0 do
       ready := List.rev_append !pending !ready;
       pending := [];
-      let order = Priority.sort_ready priority !sched ~cs:!cs !ready in
+      let order = Priority.sort_ready priority ~ce ~cs:!cs !ready in
       let place v =
         let feasible p =
           arrival_bound dfg comm !sched v p < !cs
@@ -78,6 +79,7 @@ module Naive = struct
         | [] -> true
         | (_, p) :: _ ->
             sched := Schedule.assign !sched ~node:v ~cb:!cs ~pe:p;
+            ce.(v) <- Schedule.ce !sched v;
             decr unscheduled;
             let release (e : Csdfg.attr G.edge) =
               let w = e.G.dst in

@@ -1,20 +1,35 @@
 module Csdfg = Dataflow.Csdfg
 module G = Digraph.Graph
 
-(* Data-arrival bounds for [v] at the current schedule: per processor
+(* The sweep's state, in per-run arrays.  Start-up places only at the
+   current step [cs], and [cs] never decreases, so on each processor the
+   last placement is the only one that can reach [cs] or later.  Every
+   occupancy question the sweep asks is therefore one read of [tail]:
+   [p] is free at [cs] for any span iff [tail.(p) < cs], the node
+   running there otherwise is [last.(p)], and the first free start at or
+   after [from] is [max from (tail.(p) + 1)].  No [Schedule.t] exists
+   until the sweep ends. *)
+type sweep = {
+  cb : int array;  (* per node; 0 while unplaced *)
+  pe : int array;  (* per node *)
+  ce : int array;  (* per node; 0 while unplaced, as [Priority] reads it *)
+  tail : int array;  (* per processor: CE of its last placement, 0 if none *)
+  last : int array;  (* per processor: its last placed node *)
+}
+
+(* Data-arrival bounds for [v] at the current placements: per processor
    [p], the last control step occupied by a predecessor's data in flight
    ([max over zero-delay preds u of CE u + M(PE u, p)]); [v] may start at
    any step strictly greater.  One pass over the predecessor list fills
    the bound for every PE, instead of re-walking the list per
    processor. *)
-let arrival_bounds_all dfg comm sched ~np v =
+let arrival_bounds_all dfg comm st ~np v =
   let bounds = Array.make np 0 in
   List.iter
     (fun (e : Csdfg.attr G.edge) ->
       if Csdfg.delay e = 0 then begin
         let u = e.G.src in
-        let pu = Schedule.pe sched u in
-        let ceu = Schedule.ce sched u in
+        let pu = st.pe.(u) and ceu = st.ce.(u) in
         let volume = Csdfg.volume e in
         for p = 0 to np - 1 do
           let b = ceu + Comm.cost comm ~src:pu ~dst:p ~volume in
@@ -72,16 +87,15 @@ let setup_for dfg =
 
 (* The zero-delay predecessor whose data is the last to arrive at
    processor [p] — the one that binds [arrival_bounds_all]'s entry. *)
-let latest_pred dfg comm sched v p =
+let latest_pred dfg comm st v p =
   List.fold_left
     (fun acc (e : Csdfg.attr G.edge) ->
       if Csdfg.delay e <> 0 then acc
       else begin
         let u = e.G.src in
         let b =
-          Schedule.ce sched u
-          + Comm.cost comm ~src:(Schedule.pe sched u) ~dst:p
-              ~volume:(Csdfg.volume e)
+          st.ce.(u)
+          + Comm.cost comm ~src:st.pe.(u) ~dst:p ~volume:(Csdfg.volume e)
         in
         match acc with
         | Some (_, _, best) when best >= b -> acc
@@ -89,25 +103,19 @@ let latest_pred dfg comm sched v p =
       end)
     None (Csdfg.pred dfg v)
 
-(* First node occupying any cell of [cs .. cs + span - 1] on [pe]. *)
-let blocking_holder sched ~pe ~cs ~span =
-  let rec go s =
-    if s >= cs + span then None
-    else
-      match Schedule.node_at sched ~pe ~cs:s with
-      | Some h -> Some h
-      | None -> go (s + 1)
-  in
-  go cs
+(* The node occupying [pe] at step [cs], if any: only the processor's
+   last placement can reach [cs]. *)
+let blocking_holder st ~pe ~cs =
+  if st.tail.(pe) >= cs then Some st.last.(pe) else None
 
-let comm_bound_reason dfg comm sched v p =
-  match latest_pred dfg comm sched v p with
+let comm_bound_reason dfg comm st v p =
+  match latest_pred dfg comm st v p with
   | Some (u, e, _) ->
       Some
         (Obs.Journal.Comm_bound
            {
              pred = u;
-             hops = Comm.hops comm ~src:(Schedule.pe sched u) ~dst:p;
+             hops = Comm.hops comm ~src:st.pe.(u) ~dst:p;
              volume = Csdfg.volume e;
            })
   | None -> None
@@ -116,21 +124,17 @@ let comm_bound_reason dfg comm sched v p =
    the dominant reason: data still in flight (or arriving no earlier
    than on the winner), a slot already running an earlier node, or a
    slot lost this very step to a higher-priority ready node. *)
-let journal_decision dfg comm sched priority ~cs ~np v bounds best =
+let journal_decision dfg comm st priority ~cs ~np v bounds best =
   let reject p =
     let reason =
-      if bounds.(p) >= cs then comm_bound_reason dfg comm sched v p
-      else begin
-        let span = Schedule.duration sched ~node:v ~pe:p in
-        if not (Schedule.is_free sched ~pe:p ~cb:cs ~span) then
-          match blocking_holder sched ~pe:p ~cs ~span with
-          | Some h when Schedule.cb sched h = cs ->
-              Some (Obs.Journal.Mobility { winner = h })
-          | Some h -> Some (Obs.Journal.Occupied { holder = h })
-          | None -> None
-        else if best >= 0 then comm_bound_reason dfg comm sched v p
-        else None
-      end
+      if bounds.(p) >= cs then comm_bound_reason dfg comm st v p
+      else
+        match blocking_holder st ~pe:p ~cs with
+        | Some h when st.cb.(h) = cs ->
+            Some (Obs.Journal.Mobility { winner = h })
+        | Some h -> Some (Obs.Journal.Occupied { holder = h })
+        | None ->
+            if best >= 0 then comm_bound_reason dfg comm st v p else None
     in
     match reason with
     | Some reason ->
@@ -148,7 +152,7 @@ let journal_decision dfg comm sched priority ~cs ~np v bounds best =
            node = v;
            cs;
            pe = best;
-           pf = Priority.pf priority sched ~cs v;
+           pf = Priority.pf priority ~ce:st.ce ~cs v;
            mobility = Priority.mobility priority v;
            static_level = Priority.static_level priority v;
            arrival = bounds.(best);
@@ -170,7 +174,8 @@ let c_steps_skipped = Obs.Counters.counter "startup.steps_skipped"
 module Rset = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare (ka, va) (kb, vb) =
+    match Int.compare ka kb with 0 -> Int.compare va vb | c -> c
 end)
 
 let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
@@ -183,9 +188,24 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
         ("processors", string_of_int (Comm.n_processors comm));
       ]
   @@ fun () ->
+  (* First, so malformed speeds raise [Schedule.empty]'s errors; it also
+     defines every duration the sweep reads. *)
+  let empty = Schedule.empty ?speeds dfg comm in
   let { priority; dag; in_degrees; _ } = setup_for dfg in
   let n = Csdfg.n_nodes dfg in
   let np = Comm.n_processors comm in
+  let st =
+    {
+      cb = Array.make n 0;
+      pe = Array.make n 0;
+      ce = Array.make n 0;
+      tail = Array.make np 0;
+      last = Array.make np 0;
+    }
+  in
+  (* Nodes in placement order, for building the schedule at the end. *)
+  let order = Array.make n 0 in
+  let placed = ref 0 in
   let remaining_preds = Array.copy in_degrees in
   let in_list = Array.make n false in
   let ready_aff = ref Rset.empty in
@@ -200,8 +220,6 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
     end
   in
   List.iter promote (Csdfg.nodes dfg);
-  let sched = ref (Schedule.empty ?speeds dfg comm) in
-  let unscheduled = ref n in
   let cs = ref 1 in
   (* Per-(node, PE) memo of [arrival_bound].  A node's bound only depends
      on its zero-delay predecessors' placements, all of which are final by
@@ -211,7 +229,7 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
   let ab_cache : int array array = Array.make n [||] in
   let ab_row v =
     if Array.length ab_cache.(v) = 0 then
-      ab_cache.(v) <- arrival_bounds_all dfg comm !sched ~np v;
+      ab_cache.(v) <- arrival_bounds_all dfg comm st ~np v;
     ab_cache.(v)
   in
   (* Any node can always run at [last CE + worst-message-cost + 1] on some
@@ -250,26 +268,32 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
   let probe v =
     (* Best feasible processor: smallest (arrival bound, id) — the same
        order [List.sort compare] gave the (bound, pe) candidate pairs,
-       computed without building the intermediate lists. *)
+       computed without building the intermediate lists.  A processor
+       free at [cs] is free for the node's whole span, since nothing is
+       placed after [cs]. *)
     let bounds = ab_row v in
     let best = ref (-1) in
     let best_bound = ref max_int in
     for p = 0 to np - 1 do
       let b = bounds.(p) in
-      if b < !best_bound && b < !cs
-         && Schedule.is_free !sched ~pe:p ~cb:!cs
-              ~span:(Schedule.duration !sched ~node:v ~pe:p)
-      then begin
+      if b < !best_bound && b < !cs && st.tail.(p) < !cs then begin
         best := p;
         best_bound := b
       end
     done;
     if Obs.Journal.enabled () then
-      journal_decision dfg comm !sched priority ~cs:!cs ~np v bounds !best;
+      journal_decision dfg comm st priority ~cs:!cs ~np v bounds !best;
     if !best < 0 then false (* stays in the ready queue *)
     else begin
-      sched := Schedule.assign !sched ~node:v ~cb:!cs ~pe:!best;
-      decr unscheduled;
+      let p = !best in
+      let ce = !cs + Schedule.duration empty ~node:v ~pe:p - 1 in
+      st.cb.(v) <- !cs;
+      st.pe.(v) <- p;
+      st.ce.(v) <- ce;
+      st.tail.(p) <- ce;
+      st.last.(p) <- v;
+      order.(!placed) <- v;
+      incr placed;
       decr free_pes;
       placed_any := true;
       let release (e : Csdfg.attr G.edge) =
@@ -309,13 +333,13 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
             scan aff (tc ())
           end
   in
-  while !unscheduled > 0 do
+  while !placed < n do
     if !cs > fuel then
       invalid_arg "Startup.run: scheduling did not converge (internal error)";
     Obs.Counters.incr c_steps;
     List.iter
       (fun v ->
-        match Priority.sort_key priority_strategy priority !sched v with
+        match Priority.sort_key priority_strategy priority ~ce:st.ce v with
         | Priority.Affine k -> ready_aff := Rset.add (-k, v) !ready_aff
         | Priority.Const k -> ready_const := Rset.add (-k, v) !ready_const)
       !pending;
@@ -323,9 +347,8 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
     free_pes := 0;
     let next_free = ref max_int in
     for p = 0 to np - 1 do
-      match Schedule.node_at !sched ~pe:p ~cs:!cs with
-      | None -> incr free_pes
-      | Some h -> next_free := min !next_free (Schedule.ce !sched h + 1)
+      if st.tail.(p) < !cs then incr free_pes
+      else next_free := min !next_free (st.tail.(p) + 1)
     done;
     if !free_pes = 0 && not (Obs.Journal.enabled ()) then begin
       (* Every processor is running something through this step; no
@@ -340,7 +363,7 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
       placed_any := false;
       scan (Rset.to_seq !ready_aff ()) (Rset.to_seq !ready_const ());
       (* Event-driven sweep: when the step changed nothing (no placement
-         and no newly ready nodes), the schedule is frozen, so every
+         and no newly ready nodes), the placements are frozen, so every
          ready node's feasibility at a future step [s] depends on [s]
          alone.  Jump straight to the earliest step at which any
          (node, PE) pair becomes feasible — every skipped step would
@@ -351,9 +374,7 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
         let consider v =
           let bounds = ab_row v in
           for p = 0 to np - 1 do
-            let span = Schedule.duration !sched ~node:v ~pe:p in
-            let from = max (bounds.(p) + 1) (!cs + 1) in
-            let s = Schedule.first_free_slot !sched ~pe:p ~from ~span in
+            let s = max (max (bounds.(p) + 1) (!cs + 1)) (st.tail.(p) + 1) in
             if s < !next then next := s
           done
         in
@@ -365,7 +386,13 @@ let run ?(priority_strategy = Priority.Pf) ?speeds dfg comm =
       end
     end
   done;
-  let sched = !sched in
+  (* One [assign] per placement, in placement order: its overlap check
+     re-verifies the sweep's bookkeeping. *)
+  let sched =
+    Array.fold_left
+      (fun s v -> Schedule.assign s ~node:v ~cb:st.cb.(v) ~pe:st.pe.(v))
+      empty order
+  in
   Schedule.set_length sched (Timing.required_length sched)
 
 let run_on ?priority_strategy ?speeds dfg topo =

@@ -19,6 +19,13 @@ let paper_mesh () =
 
 let node g l = Csdfg.node_of_label g l
 
+(* The per-node CE array [Priority] reads placements through: 0 for an
+   unplaced node. *)
+let ce_of s =
+  Array.init
+    (Csdfg.n_nodes (Schedule.dfg s))
+    (fun v -> if Schedule.is_assigned s v then Schedule.ce s v else 0)
+
 (* ------------------------------------------------------------------ *)
 (* Figure 6(b): the paper's initial schedule, cell by cell              *)
 (* ------------------------------------------------------------------ *)
@@ -55,13 +62,14 @@ let test_pf_prefers_critical_node () =
       (Schedule.empty fig1b (Comm.of_topology (paper_mesh ())))
       ~node:(node fig1b "A") ~cb:1 ~pe:0
   in
-  let pf_b = Priority.pf pr s ~cs:2 (node fig1b "B") in
-  let pf_c = Priority.pf pr s ~cs:2 (node fig1b "C") in
+  let ce = ce_of s in
+  let pf_b = Priority.pf pr ~ce ~cs:2 (node fig1b "B") in
+  let pf_c = Priority.pf pr ~ce ~cs:2 (node fig1b "C") in
   check "PF(B)" 1 pf_b;
   check "PF(C)" 0 pf_c;
   Alcotest.(check (list int)) "sorted"
     [ node fig1b "B"; node fig1b "C" ]
-    (Priority.sort_ready pr s ~cs:2 [ node fig1b "C"; node fig1b "B" ])
+    (Priority.sort_ready pr ~ce ~cs:2 [ node fig1b "C"; node fig1b "B" ])
 
 let test_pf_rises_with_waiting_time () =
   (* The longer a producer has been finished, the more volume boosts the
@@ -72,13 +80,13 @@ let test_pf_rises_with_waiting_time () =
       (Schedule.empty fig1b (Comm.of_topology (paper_mesh ())))
       ~node:(node fig1b "A") ~cb:1 ~pe:0
   in
-  let at cs = Priority.pf pr s ~cs (node fig1b "C") in
+  let at cs = Priority.pf pr ~ce:(ce_of s) ~cs (node fig1b "C") in
   check_bool "later steps lower priority" true (at 4 < at 2)
 
 let test_pf_root_is_negative_mobility () =
   let pr = Priority.create fig1b in
   let s = Schedule.empty fig1b (Comm.of_topology (paper_mesh ())) in
-  check "root A" 0 (Priority.pf pr s ~cs:1 (node fig1b "A"))
+  check "root A" 0 (Priority.pf pr ~ce:(ce_of s) ~cs:1 (node fig1b "A"))
 
 (* The sweep keeps its ready queue sorted by Priority.sort_key instead
    of re-sorting with sort_ready every control step; the two must induce
@@ -98,11 +106,12 @@ let test_sort_key_matches_sort_ready =
           (List.filteri (fun i _ -> i >= cut) nodes)
       in
       let pr = Priority.create g in
+      let ce = ce_of s in
       let ready = List.filter (fun v -> not (Schedule.is_assigned s v)) nodes in
       List.for_all
         (fun strategy ->
           let score v =
-            match Priority.sort_key strategy pr s v with
+            match Priority.sort_key strategy pr ~ce v with
             | Priority.Affine k -> k - cs
             | Priority.Const k -> k
           in
@@ -114,7 +123,7 @@ let test_sort_key_matches_sort_ready =
                 | c -> c)
               ready
           in
-          keyed = Priority.sort_ready ~strategy pr s ~cs ready)
+          keyed = Priority.sort_ready ~strategy pr ~ce ~cs ready)
         [ Priority.Pf; Priority.Static_level; Priority.Mobility_only;
           Priority.Fifo ])
 
