@@ -340,7 +340,7 @@ let prop_check_equals_reference =
         else
           let v = Random.State.int rng (Csdfg.n_nodes g) in
           let s =
-            match Random.State.int rng 6 with
+            match Random.State.int rng 7 with
             | 0 when Schedule.is_assigned s v -> Schedule.unassign s v
             | 1 -> Schedule.normalize s
             | 2 ->
@@ -352,6 +352,14 @@ let prop_check_equals_reference =
                 Schedule.with_dfg s
                   (Csdfg.redelay (Schedule.dfg s) ~nodes:(Csdfg.nodes g)
                      (fun _ -> Random.State.int rng 2))
+            | 4 when Schedule.is_assigned s v -> (
+                (* a start near row 2^40 (and a table as long): the
+                   check's sort must not grow with the row range *)
+                let far = (1 lsl 40) + Random.State.int rng 4 in
+                try
+                  Schedule.assign (Schedule.unassign s v) ~node:v ~cb:far
+                    ~pe:(Schedule.pe s v)
+                with Invalid_argument _ -> s)
             | _ -> (
                 (* a move onto an unassigned node, or onto a slot too
                    short on a slower processor, keeps [s] *)
