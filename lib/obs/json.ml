@@ -217,17 +217,18 @@ module Writer = struct
         | c -> Buffer.add_char b c)
       s
 
-  let clean s =
-    let n = String.length s in
-    let rec go i =
-      i >= n
-      ||
-      match String.unsafe_get s i with
-      | '"' | '\\' -> false
-      | c when Char.code c < 0x20 -> false
-      | _ -> go (i + 1)
-    in
-    go 0
+  (* The scans and digit loops below are top-level functions taking the
+     string or the buffer as an argument, so a call allocates no
+     closure. *)
+  let rec clean_from s i n =
+    i >= n
+    ||
+    match String.unsafe_get s i with
+    | '"' | '\\' -> false
+    | c when Char.code c < 0x20 -> false
+    | _ -> clean_from s (i + 1) n
+
+  let clean s = clean_from s 0 (String.length s)
 
   let add_escaped b s =
     if clean s then Buffer.add_string b s else escape_slow b s
@@ -254,23 +255,18 @@ module Writer = struct
       Buffer.contents b
     end
 
+  (* The digits of [-n] for [n <= 0]: computed in negative space, so
+     [min_int] needs no special case. *)
+  let rec add_digits_neg b n =
+    if n <= -10 then add_digits_neg b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
   let add_int b n =
     if n < 0 then begin
       Buffer.add_char b '-';
-      (* digits computed in negative space so min_int needs no special
-         case *)
-      let rec go n =
-        if n <= -10 then go (n / 10);
-        Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-      in
-      go n
+      add_digits_neg b n
     end
-    else
-      let rec go n =
-        if n >= 10 then go (n / 10);
-        Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
-      in
-      go n
+    else add_digits_neg b (-n)
 
   let add_float b x =
     if Float.is_integer x && Float.abs x < 1e15 then begin

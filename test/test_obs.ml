@@ -247,6 +247,35 @@ let test_json_reader () =
         (Option.bind (member "schema" v) to_str)
   | Error e -> Alcotest.fail e)
 
+(* The writer's hot calls allocate nothing once the buffer has room:
+   10^4 calls each, into one presized buffer. *)
+let test_json_writer_allocates_nothing () =
+  let module W = Obs.Json.Writer in
+  let ints = [| 0; 7; -1; 42; -1234567; max_int; min_int |] in
+  List.iter
+    (fun n ->
+      let b = Buffer.create 24 in
+      W.add_int b n;
+      Alcotest.(check string) "add_int bytes" (string_of_int n)
+        (Buffer.contents b))
+    (Array.to_list ints);
+  let b = Buffer.create (1 lsl 20) in
+  let i = ref 0 in
+  let next () =
+    i := (!i + 1) mod Array.length ints;
+    ints.(!i)
+  in
+  List.iter
+    (fun (call, f) ->
+      Buffer.clear b;
+      Alcotest.(check (float 0.))
+        (call ^ " allocates nothing") 0. (minor_words_of f))
+    [
+      ("add_int", fun () -> W.add_int b (next ()));
+      ("add_escaped", fun () -> W.add_escaped b "pe3-node_17");
+      ("add_field_int", fun () -> W.add_field_int b "cb" (next ()));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -571,6 +600,8 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "disabled probes allocate nothing" `Quick
             test_disabled_allocates_nothing;
+          Alcotest.test_case "JSON writer calls allocate nothing" `Quick
+            test_json_writer_allocates_nothing;
         ] );
       ( "trace",
         [
