@@ -148,7 +148,7 @@ let assign t ~node ~cb ~pe =
       (Printf.sprintf "Schedule.assign: node %s already assigned"
          (Csdfg.label t.dfg node));
   let span = duration t ~node ~pe in
-  if not (is_free t ~pe ~cb ~span) then
+  if not (free_at t.occ.(pe) ~cb:(cb + t.shift) ~width:span) then
     invalid_arg
       (Printf.sprintf "Schedule.assign: slot pe%d cs%d..%d is occupied" (pe + 1)
          cb (cb + span - 1));
