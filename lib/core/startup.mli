@@ -9,7 +9,16 @@
     id).  A node is feasible on [p] at step [cs] when every scheduled
     zero-delay predecessor satisfies [CE u + M(PE u, p) < cs] and [p] is
     idle for the node's whole span.  Unplaceable nodes are deferred to the
-    next step. *)
+    next step.
+
+    The sweep keeps its placements in per-run arrays: CB, PE and CE per
+    node, and per processor the last node placed and its CE (its tail).
+    Nodes are only ever placed at the current step, which never
+    decreases, so a processor is idle at [cs] for any span exactly when
+    its tail is below [cs]; {!Priority} reads placements through the CE
+    array.  The {!Schedule.t} is built once the sweep ends, by one
+    {!Schedule.assign} per placement in placement order (whose overlap
+    check re-verifies the sweep), then padded to the required length. *)
 
 val run :
   ?priority_strategy:Priority.strategy ->
