@@ -483,30 +483,26 @@ let a7 () =
   let g = Workloads.Examples.fig7 in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
   let best = (Compaction.run_on g topo).Compaction.best in
-  match Cyclo.Pipeline.build ~original:g best with
-  | Error e ->
-      paper_vs "a7" ~paper:"prologue exists" ~measured:("error: " ^ e)
-        ~holds:false
-  | Ok p ->
-      Fmt.pr "pipeline depth: %d iterations@." p.Cyclo.Pipeline.depth;
-      Fmt.pr "prologue: %d instructions@." (Cyclo.Pipeline.prologue_length p);
-      Fmt.pr "%-10s %12s %12s@." "N" "overhead" "steps/iter";
-      List.iter
-        (fun n ->
-          Fmt.pr "%-10d %11.4f%% %12.2f@." n
-            (100. *. Cyclo.Pipeline.overhead_ratio p ~n)
-            (float_of_int (Cyclo.Pipeline.total_time p ~n) /. float_of_int n))
-        [ 10; 100; 1000; 10000 ];
-      let vanishing =
-        Cyclo.Pipeline.overhead_ratio p ~n:10000
-        < Cyclo.Pipeline.overhead_ratio p ~n:10
-      in
-      paper_vs "a7"
-        ~paper:"prologue/epilogue cost negligible for long loops (§2)"
-        ~measured:
-          (Fmt.str "overhead at N=10000: %.4f%%"
-             (100. *. Cyclo.Pipeline.overhead_ratio p ~n:10000))
-        ~holds:vanishing
+  let p = Cyclo.Pipeline.build best in
+  Fmt.pr "pipeline depth: %d iterations@." p.Cyclo.Pipeline.depth;
+  Fmt.pr "prologue: %d instructions@." (Cyclo.Pipeline.prologue_length p);
+  Fmt.pr "%-10s %12s %12s@." "N" "overhead" "steps/iter";
+  List.iter
+    (fun n ->
+      Fmt.pr "%-10d %11.4f%% %12.2f@." n
+        (100. *. Cyclo.Pipeline.overhead_ratio p ~n)
+        (float_of_int (Cyclo.Pipeline.total_time p ~n) /. float_of_int n))
+    [ 10; 100; 1000; 10000 ];
+  let vanishing =
+    Cyclo.Pipeline.overhead_ratio p ~n:10000
+    < Cyclo.Pipeline.overhead_ratio p ~n:10
+  in
+  paper_vs "a7"
+    ~paper:"prologue/epilogue cost negligible for long loops (§2)"
+    ~measured:
+      (Fmt.str "overhead at N=10000: %.4f%%"
+         (100. *. Cyclo.Pipeline.overhead_ratio p ~n:10000))
+    ~holds:vanishing
 
 (* ------------------------------------------------------------------ *)
 (* A8: ablation — remapping candidate scoring                           *)

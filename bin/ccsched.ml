@@ -225,6 +225,18 @@ let with_observability ~profile ~metrics run =
   end;
   result
 
+(* The independent legality check, for a schedule no library call has
+   checked already (Compaction and Portfolio check what they return):
+   the violations go to [ppf] under [header], and the exit code is 1. *)
+let exit_if_illegal ppf header sched =
+  match Cyclo.Validator.check sched with
+  | Ok () -> ()
+  | Error problems ->
+      Fmt.pf ppf "%s:@.%a@." header
+        (Fmt.list (Cyclo.Validator.pp_violation sched))
+        problems;
+      exit 1
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -283,13 +295,8 @@ let schedule_cmd =
       Fmt.pr "start-up length: %d@." (Cyclo.Schedule.length startup);
       Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary startup;
       if table then Fmt.pr "@.start-up schedule:@.%a@." Cyclo.Schedule.pp startup;
-      match Cyclo.Validator.check startup with
-      | Ok () -> ()
-      | Error problems ->
-          Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
-            (Fmt.list (Cyclo.Validator.pp_violation startup))
-            problems;
-          exit 1
+      exit_if_illegal Fmt.stderr "INTERNAL ERROR: emitted an illegal schedule"
+        startup
     end
     else
     match portfolio with
@@ -301,14 +308,7 @@ let schedule_cmd =
           (Topology.name topo);
         Fmt.pr "%a@." Cyclo.Portfolio.pp t;
         Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary best;
-        if table then Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best;
-        (match Cyclo.Validator.check best with
-        | Ok () -> ()
-        | Error problems ->
-            Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
-              (Fmt.list (Cyclo.Validator.pp_violation best))
-              problems;
-            exit 1)
+        if table then Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best
     | None ->
     let r = Cyclo.Compaction.run ~mode:k.mode ?speeds ?passes g comm in
     let startup = r.Cyclo.Compaction.startup and best = r.Cyclo.Compaction.best in
@@ -329,14 +329,7 @@ let schedule_cmd =
     if table then begin
       Fmt.pr "@.start-up schedule:@.%a@." Cyclo.Schedule.pp startup;
       Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best
-    end;
-    match Cyclo.Validator.check best with
-    | Ok () -> ()
-    | Error problems ->
-        Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
-          (Fmt.list (Cyclo.Validator.pp_violation best))
-          problems;
-        exit 1
+    end
   in
   Cmd.v
     (Cmd.info "schedule"
@@ -418,18 +411,10 @@ let export_cmd =
           (* compaction retimes: record the cumulative retiming so
              `ccsched validate` can rebuild the kernel graph *)
           let best = schedule () in
-          let prefix =
-            match
-              Dataflow.Retiming.infer ~original:g
-                ~retimed:(Cyclo.Schedule.dfg best)
-            with
-            | Some r ->
-                Printf.sprintf "# retiming=%s\n"
-                  (String.concat ","
-                     (List.map string_of_int (Array.to_list r)))
-            | None -> ""
-          in
-          prefix ^ Cyclo.Export.to_csv best
+          let r = (Cyclo.Pipeline.build best).Cyclo.Pipeline.retiming in
+          Printf.sprintf "# retiming=%s\n%s"
+            (String.concat "," (List.map string_of_int (Array.to_list r)))
+            (Cyclo.Export.to_csv best)
       | `Json -> Cyclo.Export.to_json (schedule ())
       | `Svg -> Cyclo.Export.to_svg (schedule ())
       | `C -> Codegen.C_emitter.emit (schedule ())
@@ -587,26 +572,21 @@ let pipeline_cmd =
   let run spec arch (k : Knobs.knobs) n =
     let g, _, comm = load_on spec arch k in
     let r = Cyclo.Compaction.run ~mode:k.mode ?passes:k.passes g comm in
-    let best = r.Cyclo.Compaction.best in
-    match Cyclo.Pipeline.build ~original:g best with
-    | Error e ->
-        Fmt.epr "ccsched: %s@." e;
-        exit 1
-    | Ok p ->
-        Fmt.pr "%a@." (Cyclo.Pipeline.pp g) p;
-        (* short loops (N < depth) execute a clamped prologue *)
-        if Cyclo.Pipeline.prologue_length_for p ~n
-           <> Cyclo.Pipeline.prologue_length p
-        then
-          Fmt.pr "prologue (N=%d): clamped to %d instruction(s)@." n
-            (Cyclo.Pipeline.prologue_length_for p ~n);
-        Fmt.pr "epilogue (N=%d): %d instruction(s)@." n
-          (Cyclo.Pipeline.epilogue_length p ~n);
-        Fmt.pr "overhead (N=%d): %.4f%%@." n
-          (100. *. Cyclo.Pipeline.overhead_ratio p ~n);
-        Fmt.pr "total time (N=%d): %d control steps (%.2f per iteration)@." n
-          (Cyclo.Pipeline.total_time p ~n)
-          (float_of_int (Cyclo.Pipeline.total_time p ~n) /. float_of_int n)
+    let p = Cyclo.Pipeline.build r.Cyclo.Compaction.best in
+    Fmt.pr "%a@." (Cyclo.Pipeline.pp g) p;
+    (* short loops (N < depth) execute a clamped prologue *)
+    if Cyclo.Pipeline.prologue_length_for p ~n
+       <> Cyclo.Pipeline.prologue_length p
+    then
+      Fmt.pr "prologue (N=%d): clamped to %d instruction(s)@." n
+        (Cyclo.Pipeline.prologue_length_for p ~n);
+    Fmt.pr "epilogue (N=%d): %d instruction(s)@." n
+      (Cyclo.Pipeline.epilogue_length p ~n);
+    Fmt.pr "overhead (N=%d): %.4f%%@." n
+      (100. *. Cyclo.Pipeline.overhead_ratio p ~n);
+    Fmt.pr "total time (N=%d): %d control steps (%.2f per iteration)@." n
+      (Cyclo.Pipeline.total_time p ~n)
+      (float_of_int (Cyclo.Pipeline.total_time p ~n) /. float_of_int n)
   in
   Cmd.v
     (Cmd.info "pipeline"
@@ -764,17 +744,11 @@ let validate_cmd =
     in
     match Cyclo.Export.of_csv ?speeds:k.speeds g comm text with
     | Error msg -> die 3 msg
-    | Ok sched -> (
+    | Ok sched ->
         Fmt.pr "%a@." Cyclo.Schedule.pp sched;
-        match Cyclo.Validator.check sched with
-        | Ok () ->
-            Fmt.pr "schedule is legal (length %d); metrics: %a@."
-              (Cyclo.Schedule.length sched) Cyclo.Metrics.pp_summary sched
-        | Error problems ->
-            Fmt.pr "ILLEGAL schedule:@.%a@."
-              (Fmt.list (Cyclo.Validator.pp_violation sched))
-              problems;
-            exit 1)
+        exit_if_illegal Fmt.stdout "ILLEGAL schedule" sched;
+        Fmt.pr "schedule is legal (length %d); metrics: %a@."
+          (Cyclo.Schedule.length sched) Cyclo.Metrics.pp_summary sched
   in
   Cmd.v
     (Cmd.info "validate"

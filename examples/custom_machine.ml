@@ -50,11 +50,9 @@ let () =
     (Machine.Simulator.slowdown stats best);
 
   (* And the loop pre/post-amble its pipelining needs. *)
-  match Cyclo.Pipeline.build ~original:dfg best with
-  | Error e -> Fmt.pr "pipeline: %s@." e
-  | Ok p ->
-      Fmt.pr "pipeline depth %d, prologue %d instructions, overhead at \
-              N=1000: %.3f%%@."
-        p.Cyclo.Pipeline.depth
-        (Cyclo.Pipeline.prologue_length p)
-        (100. *. Cyclo.Pipeline.overhead_ratio p ~n:1000)
+  let p = Cyclo.Pipeline.build best in
+  Fmt.pr "pipeline depth %d, prologue %d instructions, overhead at \
+          N=1000: %.3f%%@."
+    p.Cyclo.Pipeline.depth
+    (Cyclo.Pipeline.prologue_length p)
+    (100. *. Cyclo.Pipeline.overhead_ratio p ~n:1000)

@@ -7,11 +7,12 @@
 module Csdfg = Dataflow.Csdfg
 module Schedule = Cyclo.Schedule
 
-let pp_delays ppf dfg =
+let pp_delays ppf sched =
+  let dfg = Schedule.dfg sched in
   List.iter
     (fun e ->
       Fmt.pf ppf "%s->%s:%d " (Csdfg.label dfg e.Digraph.Graph.src)
-        (Csdfg.label dfg e.Digraph.Graph.dst) (Csdfg.delay e))
+        (Csdfg.label dfg e.Digraph.Graph.dst) (Schedule.delay sched e))
     (Csdfg.edges dfg)
 
 let () =
@@ -39,7 +40,7 @@ let () =
     Fmt.pr "pass %d: rotate {%s} -> %a, length %d@." pass
       (String.concat ", " rotated)
       Cyclo.Compaction.pp_outcome outcome (Schedule.length next);
-    Fmt.pr "retimed delays: %a@." pp_delays (Schedule.dfg next);
+    Fmt.pr "retimed delays: %a@." pp_delays next;
     Fmt.pr "%a@.@." Schedule.pp next;
     sched := next
   done;

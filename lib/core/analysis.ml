@@ -21,7 +21,8 @@ let binding_constraint sched =
   let rows = Schedule.rows_needed sched in
   match worst with
   | Some ((e : Csdfg.attr G.edge), psl) when psl >= rows ->
-      Delayed_edge { src = e.G.src; dst = e.G.dst; delay = Csdfg.delay e; psl }
+      Delayed_edge
+        { src = e.G.src; dst = e.G.dst; delay = Schedule.delay sched e; psl }
   | _ -> Rows { last = rows }
 
 type pe_util = { pe : int; busy : int; util : float; timeline : string }
@@ -251,7 +252,10 @@ type report = {
 let report ?topo ?(journal = []) ?measured ?(k = 5) sched =
   let dfg = Schedule.dfg sched in
   let length = Schedule.length sched in
-  let bound = Dataflow.Iteration_bound.exact_ceil dfg in
+  (* The cycle search's witness depends on how the delays sit on a
+     cycle, so it runs on the retimed graph the schedule executes. *)
+  let retimed = Dataflow.Retiming.apply dfg (Schedule.retiming sched) in
+  let bound = Dataflow.Iteration_bound.exact_ceil retimed in
   let blocking_edges =
     List.filter_map
       (fun e ->
@@ -267,7 +271,7 @@ let report ?topo ?(journal = []) ?measured ?(k = 5) sched =
     length;
     bound;
     gap = Option.map (fun b -> length - b) bound;
-    critical_cycle = Dataflow.Iteration_bound.critical_cycle dfg;
+    critical_cycle = Dataflow.Iteration_bound.critical_cycle retimed;
     binding = binding_constraint sched;
     utilization = Metrics.utilization sched;
     per_pe = pe_utilization sched;
@@ -343,7 +347,7 @@ let pp_report ppf r =
       List.iter
         (fun ((e : Csdfg.attr G.edge), psl) ->
           Fmt.pf ppf "  %s -> %s (delay %d): psl %d@," (label e.G.src)
-            (label e.G.dst) (Csdfg.delay e) psl)
+            (label e.G.dst) (Schedule.delay r.sched e) psl)
         edges);
   (match r.blocking_nodes with
   | [] -> ()

@@ -16,7 +16,9 @@ let repair sched comm =
       (Csdfg.nodes dfg)
   in
   let repaired =
-    ref (Schedule.empty ~speeds:(Schedule.speeds sched) dfg comm)
+    ref
+      (Schedule.empty ~speeds:(Schedule.speeds sched)
+         ~retiming:(Schedule.retiming sched) dfg comm)
   in
   let last_on_pe = Hashtbl.create 8 in
   List.iter
@@ -25,7 +27,7 @@ let repair sched comm =
       let data_bound =
         List.fold_left
           (fun acc (e : Csdfg.attr G.edge) ->
-            if Csdfg.delay e <> 0 then acc
+            if Schedule.delay sched e <> 0 then acc
             else begin
               let u = e.G.src in
               let m =

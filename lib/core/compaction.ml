@@ -74,10 +74,10 @@ let pass ?scoring ?order mode sched =
    drive loop runs this once per pass, and string signatures of large
    graphs dominated the pass bookkeeping. *)
 let state_hash sched =
-  let dfg = Schedule.dfg sched in
   List.fold_left
-    (fun h e -> (h lxor Csdfg.delay e) * 0x100000001b3)
-    (Schedule.hash sched) (Csdfg.edges dfg)
+    (fun h e -> (h lxor Schedule.delay sched e) * 0x100000001b3)
+    (Schedule.hash sched)
+    (Csdfg.edges (Schedule.dfg sched))
   land max_int
 
 (* Resumable search state.  [drive] below is a thin wrapper that runs a
@@ -125,7 +125,6 @@ let stepper ?(mode = Remap.With_relaxation) ?scoring ?order ~budget
 let best_length st = Schedule.length st.sp_best
 let best_schedule st = st.sp_best
 let passes_run st = st.sp_next - 1
-let finished st = st.sp_done
 
 let advance ?should_stop ~passes st =
   let stop_at = st.sp_next + passes - 1 in

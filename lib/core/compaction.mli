@@ -151,7 +151,4 @@ val best_schedule : stepper -> Schedule.t
 val passes_run : stepper -> int
 (** Passes executed so far. *)
 
-val finished : stepper -> bool
-(** [true] once {!advance} has returned [`Finished] or [`Stopped]. *)
-
 val pp_trace : Format.formatter -> trace_entry list -> unit

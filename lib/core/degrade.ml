@@ -56,7 +56,7 @@ let migration_volume sched v =
   max 1
     (List.fold_left
        (fun acc (e : Csdfg.attr G.edge) ->
-         acc + (Csdfg.delay e * Csdfg.volume e))
+         acc + (Schedule.delay sched e * Csdfg.volume e))
        0
        (Csdfg.pred dfg v))
 
@@ -103,11 +103,13 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
       let of_original = Array.make np (-1) in
       Array.iteri (fun i p -> of_original.(p) <- i) surviving;
       let is_dead p = of_original.(p) < 0 in
-      let dfg = Schedule.dfg sched in
+      let dfg = Schedule.dfg sched and retiming = Schedule.retiming sched in
       let speeds = Schedule.speeds sched in
       let dspeeds = Array.map (fun p -> speeds.(p)) surviving in
       let dcomm = Comm.of_topology dtopo in
       let nodes = Csdfg.nodes dfg in
+      (* The replanned table keeps the retiming of the one it replans. *)
+      let empty = Schedule.empty ~speeds:dspeeds ~retiming dfg dcomm in
       (* Patch: survivors pinned at their control steps, victims
          re-placed one at a time in static order by Remap's candidate
          search, scored by earliest step against the old length. *)
@@ -120,8 +122,7 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
               else
                 Schedule.assign s ~node:v ~cb:(Schedule.cb sched v)
                   ~pe:of_original.(p))
-            (Schedule.empty ~speeds:dspeeds dfg dcomm)
-            nodes
+            empty nodes
         in
         let victims =
           List.filter (fun v -> is_dead (Schedule.pe sched v)) nodes
@@ -140,6 +141,19 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
         let s = Schedule.set_length s (Timing.required_length s) in
         if valid_on s dtopo then Some s else None
       in
+      (* Start-up reads delays off a graph, so it runs on the retimed
+         one, and its placements move onto [empty]. *)
+      let rebuild () =
+        let fresh =
+          Startup.run ~speeds:dspeeds (Dataflow.Retiming.apply dfg retiming)
+            dcomm
+        in
+        let s = ref empty in
+        Schedule.iter_placements
+          (fun v ~cb ~pe -> s := Schedule.assign !s ~node:v ~cb ~pe)
+          fresh;
+        Schedule.set_length !s (Schedule.length fresh)
+      in
       if out_of_time () then Error deadline_error
       else
       let patched = patch () in
@@ -153,7 +167,7 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
                moves tokens across the iteration boundary the recovery
                checkpoint was taken at *)
             Obs.Counters.incr c_patch_fallbacks;
-            (Startup.run ~speeds:dspeeds dfg dcomm, Rebuilt)
+            (rebuild (), Rebuilt)
       in
       if not (valid_on schedule dtopo) then
         Error "degraded schedule failed validation (internal error)"

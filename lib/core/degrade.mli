@@ -35,8 +35,8 @@ type plan = {
   of_original : int array;  (** original pe -> degraded pe, [-1] if dead *)
   topology : Topology.t;  (** the degraded machine, renumbered [0..] *)
   schedule : Schedule.t;
-      (** legal schedule over [topology], same retimed dfg and speeds
-          (restricted to survivors) as the input schedule *)
+      (** legal schedule over [topology], with the input schedule's
+          graph, retiming and speeds (restricted to survivors) *)
   strategy : strategy;
   moved : (int * int * int) list;
       (** (node, old original pe, new original pe) for every node that

@@ -286,9 +286,9 @@ let solve ?speeds ?(max_states = 2_000_000) ?max_length ?time_budget
         (if Schedule.length startup <= ceiling then Some startup else None)
 
 let optimality_gap sched =
-  match
-    solve ~speeds:(Schedule.speeds sched) (Schedule.dfg sched)
-      (Schedule.comm sched)
-  with
+  let retimed =
+    Dataflow.Retiming.apply (Schedule.dfg sched) (Schedule.retiming sched)
+  in
+  match solve ~speeds:(Schedule.speeds sched) retimed (Schedule.comm sched) with
   | Optimal opt -> Some (Schedule.length sched - Schedule.length opt)
   | Gave_up _ -> None

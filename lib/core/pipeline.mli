@@ -15,7 +15,9 @@ type instruction = {
 }
 
 type t = {
-  retiming : Dataflow.Retiming.r;  (** cumulative, component-normalized *)
+  retiming : Dataflow.Retiming.r;
+      (** the kernel's cumulative retiming, each weakly connected
+          component shifted to minimum 0 *)
   depth : int;  (** max retiming = pipeline depth in iterations *)
   prologue : instruction list;
       (** steady-state prologue (valid for [n >= depth]), ordered by
@@ -29,10 +31,11 @@ type t = {
   kernel : Schedule.t;
 }
 
-val build : original:Dataflow.Csdfg.t -> Schedule.t -> (t, string) result
-(** [build ~original kernel] recovers the retiming between [original]
-    and the kernel's (retimed) graph.  [Error] when the kernel's graph is
-    not a retiming of [original] (different graph or corrupted delays). *)
+val build : Schedule.t -> t
+(** [build kernel] reads the retiming the kernel carries
+    ({!Schedule.retiming}), with each weakly connected component of its
+    graph shifted to minimum 0 — the vector [ccsched export -f csv]
+    records. *)
 
 val prologue_length : t -> int
 (** Number of steady-state prologue instructions ([sum r]). *)

@@ -21,7 +21,7 @@ let window sched v pe =
     List.fold_left
       (fun acc (e : Csdfg.attr G.edge) ->
         let u = e.G.src in
-        if u = v || Csdfg.delay e <> 0 then acc
+        if u = v || Schedule.delay sched e <> 0 then acc
         else begin
           let m =
             Comm.cost comm ~src:(Schedule.pe sched u) ~dst:pe
@@ -35,7 +35,7 @@ let window sched v pe =
     List.fold_left
       (fun acc (e : Csdfg.attr G.edge) ->
         let w = e.G.dst in
-        if w = v || Csdfg.delay e <> 0 then acc
+        if w = v || Schedule.delay sched e <> 0 then acc
         else begin
           let m =
             Comm.cost comm ~src:pe ~dst:(Schedule.pe sched w)

@@ -60,30 +60,34 @@ let placement_pressure sched v pe cs =
   let ce = cs + Schedule.duration sched ~node:v ~pe - 1 in
   let from_in acc (e : Csdfg.attr G.edge) =
     let u = e.G.src in
-    if u = v || Csdfg.delay e = 0 || not (Schedule.is_assigned sched u) then acc
+    let d = Schedule.delay sched e in
+    if u = v || d = 0 || not (Schedule.is_assigned sched u) then acc
     else begin
       let m =
         Comm.cost comm ~src:(Schedule.pe sched u) ~dst:pe
           ~volume:(Csdfg.volume e)
       in
-      max acc (ceil_div (m + Schedule.ce sched u - cs + 1) (Csdfg.delay e))
+      max acc (ceil_div (m + Schedule.ce sched u - cs + 1) d)
     end
   in
   let from_out acc (e : Csdfg.attr G.edge) =
     let w = e.G.dst in
-    if w = v || Csdfg.delay e = 0 || not (Schedule.is_assigned sched w) then acc
+    let d = Schedule.delay sched e in
+    if w = v || d = 0 || not (Schedule.is_assigned sched w) then acc
     else begin
       let m =
         Comm.cost comm ~src:pe ~dst:(Schedule.pe sched w)
           ~volume:(Csdfg.volume e)
       in
-      max acc (ceil_div (m + ce - Schedule.cb sched w + 1) (Csdfg.delay e))
+      max acc (ceil_div (m + ce - Schedule.cb sched w + 1) d)
     end
   in
   let self acc (e : Csdfg.attr G.edge) =
-    if e.G.src = v && e.G.dst = v && Csdfg.delay e > 0 then
+    if e.G.src = v && e.G.dst = v && Schedule.delay sched e > 0 then
       max acc
-        (ceil_div (Schedule.duration sched ~node:v ~pe) (Csdfg.delay e))
+        (ceil_div
+           (Schedule.duration sched ~node:v ~pe)
+           (Schedule.delay sched e))
     else acc
   in
   let p = List.fold_left from_in ce (Csdfg.pred dfg v) in

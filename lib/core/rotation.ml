@@ -11,6 +11,9 @@ let c_rotations = Obs.Counters.counter "rotation.rotations"
 let c_nodes_rotated = Obs.Counters.counter "rotation.nodes_rotated"
 let c_fallbacks = Obs.Counters.counter "rotation.fallbacks_applied"
 
+(* Retiming J by one draws a delay from each edge entering J from
+   outside and pushes one onto each edge leaving it, so only J's
+   in-edges can turn negative. *)
 let start sched =
   Obs.Trace.with_span "rotation.start" @@ fun () ->
   let dfg = Schedule.dfg sched in
@@ -19,11 +22,17 @@ let start sched =
     match Schedule.first_row sched with
     | [] -> Error "no node starts at row 1 (schedule not normalized)"
     | rotated ->
-        if not (Dataflow.Retiming.can_rotate dfg rotated) then
-          Error "rotation would create a negative delay (illegal schedule?)"
+        let retimed = Schedule.retime sched rotated in
+        if
+          List.exists
+            (fun v ->
+              List.exists
+                (fun e -> Schedule.delay retimed e < 0)
+                (Csdfg.pred dfg v))
+            rotated
+        then Error "rotation would create a negative delay (illegal schedule?)"
         else begin
           let previous_length = Schedule.length sched in
-          let retimed = Dataflow.Retiming.rotate_set dfg rotated in
           let fallback =
             List.map
               (fun v ->
@@ -32,9 +41,7 @@ let start sched =
               rotated
           in
           let base =
-            Schedule.unassign_all sched rotated
-            |> Schedule.shift_up
-            |> fun s -> Schedule.with_dfg s retimed
+            Schedule.unassign_all retimed rotated |> Schedule.shift_up
           in
           Obs.Counters.incr c_rotations;
           Obs.Counters.incr c_nodes_rotated ~by:(List.length rotated);

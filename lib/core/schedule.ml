@@ -21,7 +21,8 @@ type entry = { cb : int; pe : int }
 type interval = { lo : int; hi : int; node : int }
 
 type t = {
-  dfg : Csdfg.t;
+  dfg : Csdfg.t;  (* the graph the schedule was built on, never rewritten *)
+  retiming : int array;  (* cumulative retiming r, per node *)
   comm : Comm.t;
   speeds : int array;  (* per-processor cycle-time multiplier, >= 1 *)
   entries : entry Imap.t;  (* node id -> placement, [cb] an index row *)
@@ -41,7 +42,7 @@ let covering m cs =
   | Some (_, iv) when cs <= iv.hi -> Some iv
   | _ -> None
 
-let empty ?speeds dfg comm =
+let empty ?speeds ?retiming dfg comm =
   let np = Comm.n_processors comm in
   let speeds =
     match speeds with
@@ -55,7 +56,15 @@ let empty ?speeds dfg comm =
           s;
         Array.copy s
   in
-  { dfg; comm; speeds; entries = Imap.empty; assigned = 0;
+  let retiming =
+    match retiming with
+    | None -> Array.make (Csdfg.n_nodes dfg) 0
+    | Some r ->
+        if Array.length r <> Csdfg.n_nodes dfg then
+          invalid_arg "Schedule.empty: retiming size differs from nodes";
+        Array.copy r
+  in
+  { dfg; retiming; comm; speeds; entries = Imap.empty; assigned = 0;
     occ = Array.make np Imap.empty; shift = 0; length = 0 }
 
 let speeds t = Array.copy t.speeds
@@ -69,6 +78,19 @@ let duration t ~node ~pe =
   Csdfg.time t.dfg node * t.speeds.(pe)
 
 let dfg t = t.dfg
+let retiming t = Array.copy t.retiming
+let delay t e = Dataflow.Retiming.retimed_delay t.retiming e
+
+let retime t nodes =
+  let retiming = Array.copy t.retiming in
+  List.iter
+    (fun v ->
+      if v < 0 || v >= Array.length retiming then
+        invalid_arg "Schedule.retime: node out of range";
+      retiming.(v) <- retiming.(v) + 1)
+    nodes;
+  { t with retiming }
+
 let comm t = t.comm
 let length t = t.length
 let n_processors t = Comm.n_processors t.comm
@@ -167,11 +189,6 @@ let unassign t node =
   { t with entries; assigned = t.assigned - 1; occ }
 
 let unassign_all t nodes = List.fold_left unassign t nodes
-
-let with_dfg t dfg' =
-  if not (Csdfg.same_nodes dfg' t.dfg) then
-    invalid_arg "Schedule.with_dfg: node set differs from the scheduled graph";
-  { t with dfg = dfg' }
 
 let with_comm t comm =
   if Comm.n_processors comm <> Comm.n_processors t.comm then

@@ -23,18 +23,32 @@
     table once in id order: O(V), with no lookup per node.  Rows are
     stored with a per-schedule offset, so {!shift_up} moves the whole
     table without touching a placement.  docs/model.md, "Scheduler
-    complexity", has the full table. *)
+    complexity", has the full table.
+
+    A schedule also carries a retiming [r], one integer per node: the
+    cumulative effect of the rotations it went through (Lemma 4.1).  The
+    graph it was built on is never rewritten; an edge [u -> v] of it
+    carries [d(e) + r(u) - r(v)] delays in this table, read with
+    {!delay}. *)
 
 type entry = { cb : int; pe : int }
 
 type t
 
-val empty : ?speeds:int array -> Dataflow.Csdfg.t -> Comm.t -> t
+val empty :
+  ?speeds:int array ->
+  ?retiming:Dataflow.Retiming.r ->
+  Dataflow.Csdfg.t ->
+  Comm.t ->
+  t
 (** No assignments, length 0.  [speeds] (default all 1) gives each
     processor a cycle-time multiplier: node [v] on processor [p] runs
     for [time v * speeds.(p)] control steps — heterogeneous machines.
-    @raise Invalid_argument when the array size differs from the
-    processor count or a speed is non-positive. *)
+    [retiming] (default all 0) is the retiming the table is read under
+    (copied); legality is not checked here.
+    @raise Invalid_argument when the speeds size differs from the
+    processor count, a speed is non-positive, or the retiming size
+    differs from the node count. *)
 
 val speeds : t -> int array
 (** Per-processor cycle-time multipliers (a copy). *)
@@ -46,6 +60,22 @@ val duration : t -> node:int -> pe:int -> int
     [time node * speeds.(pe)]. *)
 
 val dfg : t -> Dataflow.Csdfg.t
+(** The graph the schedule was built on, with its own delays. *)
+
+val retiming : t -> Dataflow.Retiming.r
+(** The cumulative retiming [r] (a copy). *)
+
+val delay : t -> Dataflow.Csdfg.attr Digraph.Graph.edge -> int
+(** [delay t e] is [d(e) + r(src) - r(dst)]: the delay edge [e] of
+    {!dfg} carries under the schedule's retiming.  Every reader of a
+    retimed delay goes through this. *)
+
+val retime : t -> int list -> t
+(** Add one to [r] on every listed node — the rotation's retiming
+    (Definition 4.1): one copy of [r] and one write per node.  Legality
+    (no negative {!delay}) is the caller's to check.
+    @raise Invalid_argument when a node is out of range. *)
+
 val comm : t -> Comm.t
 val length : t -> int
 val n_processors : t -> int
@@ -77,10 +107,6 @@ val assign : t -> node:int -> cb:int -> pe:int -> t
 val unassign : t -> int -> t
 
 val unassign_all : t -> int list -> t
-
-val with_dfg : t -> Dataflow.Csdfg.t -> t
-(** Swap in a retimed variant of the same graph (used by rotation).
-    @raise Invalid_argument when node count, labels or times differ. *)
 
 val with_comm : t -> Comm.t -> t
 (** Re-cost the same placements under a different communication model

@@ -63,7 +63,7 @@ let setup_for dfg =
          check, ASAP/ALAP, the static levels and the sweep: a graph is
          legal when that DAG has no cycle.  Times, volumes and delays need
          no check here, since every [Csdfg.t] constructor ([make],
-         [of_graph], [redelay]) already rejects bad ones. *)
+         [of_graph]) already rejects bad ones. *)
       let dag = Csdfg.zero_delay_graph dfg in
       let order =
         match Digraph.Topo.sort dag with

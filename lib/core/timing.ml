@@ -7,13 +7,13 @@ let edge_cost sched (e : Csdfg.attr G.edge) =
 
 let edge_ok sched (e : Csdfg.attr G.edge) =
   let m = edge_cost sched e in
-  Schedule.cb sched e.G.dst + (Csdfg.delay e * Schedule.length sched)
+  Schedule.cb sched e.G.dst + (Schedule.delay sched e * Schedule.length sched)
   >= Schedule.ce sched e.G.src + m + 1
 
 let ceil_div a b = if a >= 0 then (a + b - 1) / b else a / b
 
 let psl_edge sched (e : Csdfg.attr G.edge) =
-  let d = Csdfg.delay e in
+  let d = Schedule.delay sched e in
   if d = 0 then None
   else if
     not (Schedule.is_assigned sched e.G.src && Schedule.is_assigned sched e.G.dst)
@@ -34,7 +34,7 @@ let required_length sched =
 let zero_delay_violations sched =
   List.filter
     (fun e ->
-      Csdfg.delay e = 0
+      Schedule.delay sched e = 0
       && Schedule.is_assigned sched e.G.src
       && Schedule.is_assigned sched e.G.dst
       && not (edge_ok sched e))
@@ -50,7 +50,7 @@ let earliest_start sched ~node ~pe ~target_length =
           ~volume:(Csdfg.volume e)
       in
       let an =
-        m + Schedule.ce sched u + 1 - (Csdfg.delay e * target_length)
+        m + Schedule.ce sched u + 1 - (Schedule.delay sched e * target_length)
       in
       max acc an
     end

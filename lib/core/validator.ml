@@ -22,7 +22,8 @@ let pp_violation sched ppf v =
         (Schedule.pe sched a + 1)
   | Dependence (e, missing) ->
       Fmt.pf ppf "edge %s -> %s (d=%d c=%d) is %d step(s) too tight"
-        (Csdfg.label dfg e.G.src) (Csdfg.label dfg e.G.dst) (Csdfg.delay e)
+        (Csdfg.label dfg e.G.src) (Csdfg.label dfg e.G.dst)
+        (Schedule.delay sched e)
         (Csdfg.volume e) missing
   | Missing_processor n ->
       Fmt.pf ppf "node %s is placed on pe%d, which is absent or failed"
@@ -150,7 +151,7 @@ let check sched =
         let m =
           Comm.cost comm ~src:pe.(u) ~dst:pe.(v) ~volume:(Csdfg.volume e)
         in
-        let have = cb.(v) + (Csdfg.delay e * len) in
+        let have = cb.(v) + (Schedule.delay sched e * len) in
         let want = ce.(u) + m + 1 in
         if have < want then note (Dependence (e, want - have)))
       (Csdfg.graph dfg);
@@ -234,8 +235,6 @@ let assert_legal sched =
       in
       failwith msg
 
-let count_iterations_checked = 1
-
 let simulate sched ~iterations =
   let dfg = Schedule.dfg sched in
   let len = Schedule.length sched in
@@ -277,8 +276,9 @@ let simulate sched ~iterations =
     List.iter
       (fun e ->
         let m = Timing.edge_cost sched e in
-        for i = Csdfg.delay e to iterations do
-          let produced = finish e.G.src (i - Csdfg.delay e) in
+        let d = Schedule.delay sched e in
+        for i = d to iterations do
+          let produced = finish e.G.src (i - d) in
           let consumed = start e.G.dst i in
           if consumed < produced + m + 1 then
             note (Dependence (e, produced + m + 1 - consumed))

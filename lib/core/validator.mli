@@ -35,11 +35,6 @@ val check_topology :
 val assert_legal : Schedule.t -> unit
 (** @raise Failure with a readable report when the schedule is illegal. *)
 
-val count_iterations_checked : int
-(** The dependence rule [CB v + d * L >= CE u + M + 1] is exact for every
-    iteration at once; this constant (1) documents that no unrolling is
-    needed.  Kept for API stability with simulation-based checkers. *)
-
 val simulate :
   Schedule.t -> iterations:int -> (unit, violation list) result
 (** Brute-force cross-check: unroll the schedule over [iterations]

@@ -45,21 +45,6 @@ let of_graph ~name ~labels ~time graph =
   { name; graph; time = Array.copy time; labels = Array.copy labels;
     index = build_index labels }
 
-let redelay t ~nodes f =
-  let delay e =
-    let d = f e in
-    if d < 0 then
-      invalid_arg
-        (Printf.sprintf "Csdfg: edge %d -> %d has negative delay" e.G.src
-           e.G.dst);
-    { e.G.label with delay = d }
-  in
-  { t with graph = G.map_incident nodes delay t.graph }
-
-let same_nodes a b =
-  (a.labels == b.labels || a.labels = b.labels)
-  && (a.time == b.time || a.time = b.time)
-
 let make ~name ~nodes ~edges =
   let labels = Array.of_list (List.map fst nodes) in
   let time = Array.of_list (List.map snd nodes) in
@@ -150,12 +135,6 @@ let validate t =
 let is_legal t = validate t = Ok ()
 
 let zero_delay_graph t = G.filter_edges (fun e -> e.G.label.delay = 0) t.graph
-
-let with_name t name = { t with name }
-
-let rename_prefix t prefix =
-  let labels = Array.map (fun l -> prefix ^ l) t.labels in
-  { t with labels; index = build_index labels }
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>CSDFG %s: %d nodes, %d edges" t.name (n_nodes t) (n_edges t);

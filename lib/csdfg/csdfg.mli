@@ -31,13 +31,6 @@ val of_graph :
 (** Lower-level constructor used by transformations.
     @raise Invalid_argument on size mismatches or invalid weights. *)
 
-val redelay : t -> nodes:int list -> (attr Digraph.Graph.edge -> int) -> t
-(** [redelay t ~nodes f] sets the delay of every edge with an endpoint in
-    [nodes] to [f e]; every other edge, the labels, the times and the
-    label index are shared with [t].  This is how a rotation retimes its
-    set without rebuilding the graph (see {!Digraph.Graph.map_incident}).
-    @raise Invalid_argument on a negative delay or an out-of-range node. *)
-
 (** {1 Accessors} *)
 
 val name : t -> string
@@ -61,10 +54,6 @@ val total_time : t -> int
 
 val max_time : t -> int
 
-val same_nodes : t -> t -> bool
-(** Same labels and times, node by node; O(1) when both share them (as
-    after {!redelay}). *)
-
 (** {1 Validation} *)
 
 type violation =
@@ -86,10 +75,6 @@ val is_legal : t -> bool
 val zero_delay_graph : t -> attr Digraph.Graph.t
 (** The intra-iteration sub-DAG: only edges with [d e = 0].  For a legal
     CSDFG this is acyclic (the start-up scheduler's input, §3.1). *)
-
-val with_name : t -> string -> t
-val rename_prefix : t -> string -> t
-(** Prefix every node label (used by unfolding). *)
 
 val pp : Format.formatter -> t -> unit
 val pp_stats : Format.formatter -> t -> unit

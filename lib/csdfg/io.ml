@@ -29,8 +29,6 @@ let error_to_string e =
   | Some l -> Printf.sprintf "line %d: %s" l e.message
   | None -> e.message
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let of_string text =
   let acc = { name = "unnamed"; nodes = []; edges = [] } in
   let error lineno msg = Error { line = Some lineno; message = msg } in

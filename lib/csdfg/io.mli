@@ -18,8 +18,6 @@ type error = { line : int option; message : string }
 val error_to_string : error -> string
 (** ["line N: msg"] or just ["msg"]. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val of_string : string -> (Csdfg.t, error) result
 
 val of_string_exn : string -> Csdfg.t

@@ -26,40 +26,6 @@ let apply g r =
     ~time:(Array.init (Csdfg.n_nodes g) (Csdfg.time g))
     graph
 
-module Iset = Set.Make (Int)
-
-let rotation_set g set =
-  List.iter
-    (fun v ->
-      if v < 0 || v >= Csdfg.n_nodes g then
-        invalid_arg "Retiming.rotate_set: node out of range")
-    set;
-  Iset.of_list set
-
-(* Rotating a set retimes each of its nodes by one: with
-   [retimed_delay e = d + r(src) - r(dst)], an edge entering the set
-   from outside loses one delay, an edge leaving it gains one, and every
-   other edge keeps its delay.  Only the first kind can turn negative
-   (construction already rejects negative delays), so legality reads the
-   set's in-edges alone. *)
-let legal_rotation g set =
-  Iset.for_all
-    (fun v ->
-      List.for_all
-        (fun e -> Iset.mem e.G.src set || Csdfg.delay e > 0)
-        (Csdfg.pred g v))
-    set
-
-let can_rotate g set = legal_rotation g (rotation_set g set)
-
-let rotate_set g set =
-  let set = rotation_set g set in
-  if not (legal_rotation g set) then
-    invalid_arg "Retiming.rotate_set: a drawn incoming edge has no delay";
-  let r v = if Iset.mem v set then 1 else 0 in
-  Csdfg.redelay g ~nodes:(Iset.elements set) (fun e ->
-      Csdfg.delay e + r e.G.src - r e.G.dst)
-
 let compose a b = Array.mapi (fun i x -> x + b.(i)) a
 
 let normalize r =
@@ -67,73 +33,6 @@ let normalize r =
   else begin
     let lo = Array.fold_left min r.(0) r in
     Array.map (fun x -> x - lo) r
-  end
-
-(* Each edge pins r(dst) - r(src) = d_retimed - d_original... with our
-   convention d' = d + r(src) - r(dst), so r(dst) = r(src) + d - d'.
-   Propagate over the undirected edge structure and check consistency. *)
-let infer ~original ~retimed =
-  let n = Csdfg.n_nodes original in
-  if
-    n <> Csdfg.n_nodes retimed
-    || List.length (Csdfg.edges original) <> List.length (Csdfg.edges retimed)
-  then None
-  else begin
-    (* Pair edges positionally: retiming never reorders them. *)
-    let pairs = List.combine (Csdfg.edges original) (Csdfg.edges retimed) in
-    if
-      List.exists
-        (fun ((a : Csdfg.attr G.edge), (b : Csdfg.attr G.edge)) ->
-          a.G.src <> b.G.src || a.G.dst <> b.G.dst)
-        pairs
-    then None
-    else begin
-      let delta = Array.make n None in
-      (* adjacency over constraint edges, both directions *)
-      let adj = Array.make n [] in
-      List.iter
-        (fun ((a : Csdfg.attr G.edge), (b : Csdfg.attr G.edge)) ->
-          let diff = a.G.label.Csdfg.delay - b.G.label.Csdfg.delay in
-          adj.(a.G.src) <- (a.G.dst, diff) :: adj.(a.G.src);
-          adj.(a.G.dst) <- (a.G.src, -diff) :: adj.(a.G.dst))
-        pairs;
-      let consistent = ref true in
-      let component = Array.make n (-1) in
-      let rec visit comp v value =
-        match delta.(v) with
-        | Some existing -> if existing <> value then consistent := false
-        | None ->
-            delta.(v) <- Some value;
-            component.(v) <- comp;
-            List.iter (fun (w, diff) -> visit comp w (value + diff)) adj.(v)
-      in
-      let n_comps = ref 0 in
-      for v = 0 to n - 1 do
-        if delta.(v) = None then begin
-          visit !n_comps v 0;
-          incr n_comps
-        end
-      done;
-      if not !consistent then None
-      else begin
-        let raw = Array.map (function Some x -> x | None -> 0) delta in
-        (* normalize each weakly-connected component to minimum 0 *)
-        let comp_min = Array.make !n_comps max_int in
-        Array.iteri
-          (fun v x -> comp_min.(component.(v)) <- min comp_min.(component.(v)) x)
-          raw;
-        let r = Array.mapi (fun v x -> x - comp_min.(component.(v))) raw in
-        (* Cross-check: applying r to the original must reproduce the
-           retimed delays exactly. *)
-        let ok =
-          List.for_all
-            (fun ((a : Csdfg.attr G.edge), (b : Csdfg.attr G.edge)) ->
-              retimed_delay r a = b.G.label.Csdfg.delay)
-            pairs
-        in
-        if ok then Some r else None
-      end
-    end
   end
 
 let clock_period g =

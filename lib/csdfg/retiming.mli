@@ -4,7 +4,12 @@
     of [v] onto every outgoing edge (paper §2), i.e. the retimed delay of
     an edge [u -> v] is [d(e) + r(u) - r(v)].  A retiming is legal when
     every retimed delay is non-negative.  Retiming never changes the total
-    delay of a cycle. *)
+    delay of a cycle.
+
+    Cyclo-compaction keeps its retiming as such a vector on the schedule
+    ([Cyclo.Schedule.retiming]), one rotation adding one on the rotated
+    row; {!apply} builds the retimed graph for the few readers that need
+    a whole graph. *)
 
 type r = int array
 
@@ -19,37 +24,14 @@ val illegal_edges : Csdfg.t -> r -> Csdfg.attr Digraph.Graph.edge list
 (** Edges whose retimed delay would be negative. *)
 
 val apply : Csdfg.t -> r -> Csdfg.t
-(** Rebuild the CSDFG with retimed delays.
+(** Rebuild the CSDFG with retimed delays, edge order kept.
     @raise Invalid_argument when the retiming is illegal. *)
-
-val rotate_set : Csdfg.t -> int list -> Csdfg.t
-(** The paper's rotation (Definition 4.1): retime every node of the set by
-    one — draw one delay from each incoming edge of the set, push one onto
-    each outgoing edge.  Equal to {!apply} of that retiming, edge orders
-    included, but only the set's edges are rewritten; everything else is
-    shared with the input (see {!Csdfg.redelay}), so a compaction pass
-    pays for its rotated row, not for the graph.
-    @raise Invalid_argument when illegal (some incoming edge from outside
-    the set has no delay to draw) or when a node is out of range. *)
-
-val can_rotate : Csdfg.t -> int list -> bool
-(** Whether {!rotate_set} is legal, i.e. {!is_legal} of the rotation
-    retiming; reads only the set's in-edges.
-    @raise Invalid_argument when a node is out of range. *)
 
 val compose : r -> r -> r
 (** Pointwise sum: applying [compose a b] equals applying [a] then [b]. *)
 
 val normalize : r -> r
 (** Shift so the minimum component is 0 (does not change edge delays). *)
-
-val infer : original:Csdfg.t -> retimed:Csdfg.t -> r option
-(** Recover the retiming that transformed [original] into [retimed]
-    (same nodes and edges, delays possibly redistributed), normalized per
-    weakly-connected component so the minimum is 0.  [None] when no
-    retiming explains the delay difference.  This is how the compaction
-    driver reconstructs the cumulative loop-pipelining depth for
-    prologue/epilogue generation. *)
 
 (** {1 Clock-period minimisation (Leiserson–Saxe OPT)}
 

@@ -67,33 +67,6 @@ let mem_edge g ~src ~dst = find_edges g ~src ~dst <> []
 let map_labels f g =
   create ~n:g.n (List.map (fun e -> { e with label = f e }) g.all)
 
-(* Only the lists of [nodes] and of their neighbours hold an edge
-   incident to [nodes]; each is rewritten once, from [g]'s copy, and every
-   other list and every untouched edge record is shared with [g].  A
-   rewritten list is a fresh one, so [!=] to [g]'s marks it done (an empty
-   list is never incident, so its rewrite is a no-op). *)
-let map_incident nodes f g =
-  List.iter (fun v -> check_node g v "map_incident") nodes;
-  let member = Array.make g.n false in
-  List.iter (fun v -> member.(v) <- true) nodes;
-  let relabel e =
-    if member.(e.src) || member.(e.dst) then { e with label = f e } else e
-  in
-  let out_adj = Array.copy g.out_adj and in_adj = Array.copy g.in_adj in
-  let rewrite adj adj' v =
-    if adj'.(v) == adj.(v) then adj'.(v) <- List.map relabel adj.(v)
-  in
-  let touch e =
-    rewrite g.out_adj out_adj e.src;
-    rewrite g.in_adj in_adj e.dst
-  in
-  List.iter
-    (fun v ->
-      List.iter touch g.out_adj.(v);
-      List.iter touch g.in_adj.(v))
-    nodes;
-  { g with out_adj; in_adj; all = List.map relabel g.all }
-
 let filter_edges keep g = create ~n:g.n (List.filter keep g.all)
 let fold_edges f init g = List.fold_left f init g.all
 let iter_edges f g = List.iter f g.all

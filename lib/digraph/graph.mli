@@ -9,9 +9,8 @@
     the list of all edges are stored once, in insertion order, so
     {!succ}, {!pred} and {!edges} are O(1) and allocate nothing, and
     {!iter_edges} and {!fold_edges} walk the stored list without copying
-    it.  {!create} and every update that rebuilds ({!add_edge},
-    {!map_labels}, {!filter_edges}, {!transpose}) are O(n + m);
-    {!map_incident} is O(n + deg + m). *)
+    it.  {!create} and every update ({!add_edge}, {!map_labels},
+    {!filter_edges}, {!transpose}) rebuild, in O(n + m). *)
 
 type 'e edge = {
   src : int;  (** source node *)
@@ -68,16 +67,6 @@ val find_edges : 'e t -> src:int -> dst:int -> 'e edge list
 
 val map_labels : ('e edge -> 'f) -> 'e t -> 'f t
 (** Rebuild the graph applying a function to every edge. *)
-
-val map_incident : int list -> ('e edge -> 'e) -> 'e t -> 'e t
-(** [map_incident nodes f g] relabels every edge with an endpoint in
-    [nodes] to [f e] and keeps every other edge; all edge orders are
-    unchanged.  O(n + deg + m): one copy of the two adjacency arrays, the
-    lists of [nodes] and of their neighbours ([deg] edges in all), and one
-    pass over the edge list, instead of {!map_labels}' rebuild.  Every
-    other list and every untouched edge record is shared with [g]; [f]
-    may be called more than once per edge.
-    @raise Invalid_argument if a node is out of range. *)
 
 val filter_edges : ('e edge -> bool) -> 'e t -> 'e t
 (** Keep only edges satisfying the predicate (same node set). *)

@@ -66,8 +66,6 @@ let error_to_string e =
   if e.line > 0 then Printf.sprintf "line %d: %s" e.line e.message
   else e.message
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let of_string text =
   let name = ref "unnamed" in
   let faults = ref [] in

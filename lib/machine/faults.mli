@@ -60,7 +60,6 @@ val validate : scenario -> Topology.t -> (unit, string) result
 type error = { line : int; message : string }
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val of_string : string -> (scenario, error) result
 (** Parse the scenario DSL:

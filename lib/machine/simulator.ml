@@ -211,7 +211,7 @@ let event_loop ~policy ~transport ~recorder ph sched topo ~iterations =
   List.iter
     (fun (e : Csdfg.attr G.edge) ->
       for i = 0 to iterations - 1 do
-        if i - Csdfg.delay e >= 0 then
+        if i - Schedule.delay sched e >= 0 then
           missing.(idx e.G.dst i) <- missing.(idx e.G.dst i) + 1
       done)
     (Csdfg.edges dfg);
@@ -595,7 +595,7 @@ let event_loop ~policy ~transport ~recorder ph sched topo ~iterations =
       (Instance_finish { t = now; node = u; iter = i + ph.iter0; pe = o_pe p });
     List.iter
       (fun (e : Csdfg.attr G.edge) ->
-        let j = i + Csdfg.delay e in
+        let j = i + Schedule.delay sched e in
         if j < iterations then begin
           let w = e.G.dst in
           let q = Schedule.pe sched w in

@@ -194,7 +194,6 @@ let to_int = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
-let to_obj = function Obj m -> Some m | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)

@@ -30,7 +30,6 @@ val to_num : t -> float option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option
 
 (** {2 Buffered writing}
 

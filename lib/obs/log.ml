@@ -17,13 +17,6 @@ let level_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type value = I of int | S of string | B of bool | F of float

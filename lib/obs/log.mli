@@ -21,7 +21,6 @@ val schema : string
 type level = Debug | Info | Warn | Error
 
 val level_to_string : level -> string
-val level_of_string : string -> level option
 val severity : level -> int
 (** [Debug] 0 .. [Error] 3; {!emit} drops lines below the enabled
     threshold. *)

@@ -186,7 +186,6 @@ let name t = t.name
 let n_processors t = t.n
 let links t = List.map (fun (a, b, _) -> (a, b)) t.links
 let weighted_links t = t.links
-let link_graph t = t.graph
 
 let check_proc t p ctx =
   if p < 0 || p >= t.n then

@@ -73,8 +73,6 @@ val name : t -> string
 val n_processors : t -> int
 val links : t -> (int * int) list
 val weighted_links : t -> (int * int * int) list
-val link_graph : t -> int Digraph.Graph.t
-(** Both directions of every link, labelled with the link latency. *)
 
 val hops : t -> int -> int -> int
 (** Minimum distance between two processors (0 when equal): the number

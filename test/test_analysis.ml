@@ -198,6 +198,17 @@ let test_report_invariants () =
       Alcotest.failf "expected a PSL-6 delayed-edge binding, got %a"
         (Obs.Journal.pp_binding ?label:None)
         b);
+  (* The critical cycle is the witness on the retimed graph the table
+     runs: on the compacted lattice filter it moves with the retiming. *)
+  let lattice =
+    (Compaction.run_on Workloads.Filters.lattice topo).Compaction.best
+  in
+  Alcotest.(check (option (list string)))
+    "lattice critical cycle"
+    (Some [ "af1"; "mb1"; "ab1"; "mf2"; "af2" ])
+    (Option.map
+       (List.map (Csdfg.label (Schedule.dfg lattice)))
+       (Analysis.report lattice).Analysis.critical_cycle);
   Alcotest.(check bool) "journal yields blocking nodes" true
     (rep.Analysis.blocking_nodes <> []);
   List.iter

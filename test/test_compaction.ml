@@ -36,7 +36,7 @@ let test_rotation_first_pass () =
       (* remaining nodes shifted up by one *)
       check "B now at row 1" 1 (Schedule.cb rot.Rotation.base (node fig1b "B"));
       check "base length" 6 (Schedule.length rot.Rotation.base);
-      (* the retimed graph matches paper Figure 1(c) *)
+      (* the retimed delays match paper Figure 1(c) *)
       let dfg = Schedule.dfg rot.Rotation.base in
       let d s t =
         let e =
@@ -46,7 +46,7 @@ let test_rotation_first_pass () =
               && Csdfg.label dfg e.Digraph.Graph.dst = t)
             (Csdfg.edges dfg)
         in
-        Csdfg.delay e
+        Schedule.delay rot.Rotation.base e
       in
       check "D->A retimed" 2 (d "D" "A");
       check "A->B retimed" 1 (d "A" "B")

@@ -138,11 +138,17 @@ let test_io_error_line_number () =
 (* Retiming                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Rotating a set is the retiming r = 1 on the set (Definition 4.1). *)
+let rotation g set =
+  let r = Retiming.identity g in
+  List.iter (fun v -> r.(v) <- 1) set;
+  r
+
 let test_rotation_fig1 () =
   (* Paper Figure 1(b) -> 1(c): rotating {A} moves D->A from 3 to 2 and
      gives each A out-edge one delay. *)
   let a = Csdfg.node_of_label fig1b "A" in
-  let g' = Retiming.rotate_set fig1b [ a ] in
+  let g' = Retiming.apply fig1b (rotation fig1b [ a ]) in
   let d s t =
     let e =
       List.find
@@ -161,15 +167,16 @@ let test_rotation_fig1 () =
 let test_rotation_illegal () =
   let b = Csdfg.node_of_label fig1b "B" in
   (* B's incoming edge A->B has no delay: rotating {B} is illegal. *)
-  check_bool "cannot rotate B" false (Retiming.can_rotate fig1b [ b ]);
+  check_bool "cannot rotate B" false
+    (Retiming.is_legal fig1b (rotation fig1b [ b ]));
   check_bool "raises" true
-    (match Retiming.rotate_set fig1b [ b ] with
+    (match Retiming.apply fig1b (rotation fig1b [ b ]) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_retiming_preserves_cycle_delay () =
   let a = Csdfg.node_of_label fig1b "A" in
-  let g' = Retiming.rotate_set fig1b [ a ] in
+  let g' = Retiming.apply fig1b (rotation fig1b [ a ]) in
   let cycle_delay g cyc =
     Digraph.Cycles.fold_cycle_weight (Csdfg.graph g) cyc ~init:0
       ~f:(fun acc e -> acc + Csdfg.delay e)
@@ -184,7 +191,7 @@ let test_retiming_preserves_cycle_delay () =
 let test_retiming_legality_preserved () =
   let a = Csdfg.node_of_label fig1b "A" in
   check_bool "retimed graph still legal" true
-    (Csdfg.is_legal (Retiming.rotate_set fig1b [ a ]))
+    (Csdfg.is_legal (Retiming.apply fig1b (rotation fig1b [ a ])))
 
 let test_compose_and_normalize () =
   let r1 = [| 1; 0; 0; 0; 0; 0 |] and r2 = [| 0; 2; 0; 0; 0; 0 |] in

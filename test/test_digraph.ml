@@ -632,36 +632,6 @@ let test_max_ratio_rejects_non_positive_denominator () =
   rejects "no positive cycle anywhere"
     (G.create ~n:2 [ edge 0 1 (1, 1); edge 1 0 (1, -2) ])
 
-let test_map_incident () =
-  let g =
-    G.create ~n:4
-      [ edge 0 1 1; edge 1 1 2; edge 2 3 3; edge 1 2 4; edge 0 1 5; edge 3 0 6 ]
-  in
-  let touched e = e.G.src = 1 || e.G.dst = 1 in
-  let relabel e = e.G.label * 10 in
-  let g' = G.map_incident [ 1 ] relabel g in
-  let expected =
-    G.map_labels (fun e -> if touched e then relabel e else e.G.label) g
-  in
-  let quads l = List.map (fun e -> (e.G.src, e.G.dst, e.G.label)) l in
-  Alcotest.(check (list (triple int int int)))
-    "edge list" (quads (G.edges expected)) (quads (G.edges g'));
-  List.iter
-    (fun v ->
-      Alcotest.(check (list (triple int int int)))
-        (Printf.sprintf "succ %d" v)
-        (quads (G.succ expected v)) (quads (G.succ g' v));
-      Alcotest.(check (list (triple int int int)))
-        (Printf.sprintf "pred %d" v)
-        (quads (G.pred expected v)) (quads (G.pred g' v)))
-    (G.nodes g);
-  check_bool "untouched edge shared" true
-    (List.nth (G.edges g') 2 == List.nth (G.edges g) 2);
-  check_bool "out of range" true
-    (match G.map_incident [ 4 ] relabel g with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 (* A graph read back through every accessor against the one edge list
    it must equal: the edge list, each node's out- and in-edges as that
    list filtered (order included), and the degrees. *)
@@ -697,12 +667,6 @@ let test_adjacency_matches_edge_list =
            List.init m (fun i ->
                edge (Random.State.int rng n) (Random.State.int rng n) i)
          in
-         let nodes =
-           List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
-         in
-         (* a node named twice is rewritten once *)
-         let nodes = match nodes with v :: _ -> v :: nodes | [] -> [] in
-         let incident e = List.mem e.G.src nodes || List.mem e.G.dst nodes in
          let relabel e = (1000 * e.G.label) + 1 in
          let keep e = e.G.label mod 3 <> 0 in
          let built = G.create ~n reference in
@@ -714,13 +678,8 @@ let test_adjacency_matches_edge_list =
          List.for_all
            (fun g ->
              agrees_with_edge_list g ~n reference
-             && agrees_with_edge_list
-                  (G.map_incident nodes relabel g)
-                  ~n
-                  (List.map
-                     (fun e ->
-                       if incident e then { e with G.label = relabel e } else e)
-                     reference)
+             && agrees_with_edge_list (G.map_labels relabel g) ~n
+                  (List.map (fun e -> { e with G.label = relabel e }) reference)
              && agrees_with_edge_list (G.filter_edges keep g) ~n
                   (List.filter keep reference)
              && agrees_with_edge_list (G.transpose g) ~n
@@ -750,7 +709,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "empty zero" `Quick test_empty_zero;
           Alcotest.test_case "empty negative" `Quick test_empty_negative;
-          Alcotest.test_case "map_incident" `Quick test_map_incident;
           Alcotest.test_case "add_edge range" `Quick test_add_edge_out_of_range;
           test_adjacency_matches_edge_list;
           Alcotest.test_case "reads allocate nothing" `Quick

@@ -23,52 +23,6 @@ let contains haystack needle =
   nl = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* Retiming.infer                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_infer_identity () =
-  match Retiming.infer ~original:fig1b ~retimed:fig1b with
-  | None -> Alcotest.fail "identity is a retiming"
-  | Some r -> Alcotest.(check (array int)) "all zero" (Array.make 6 0) r
-
-let test_infer_single_rotation () =
-  let a = Csdfg.node_of_label fig1b "A" in
-  let retimed = Retiming.rotate_set fig1b [ a ] in
-  match Retiming.infer ~original:fig1b ~retimed with
-  | None -> Alcotest.fail "rotation is a retiming"
-  | Some r ->
-      check "r(A) = 1" 1 r.(a);
-      List.iter (fun v -> if v <> a then check "others 0" 0 r.(v))
-        (Csdfg.nodes fig1b)
-
-let test_infer_composed_rotations () =
-  let a = Csdfg.node_of_label fig1b "A" in
-  let b = Csdfg.node_of_label fig1b "B" in
-  let g1 = Retiming.rotate_set fig1b [ a ] in
-  let g2 = Retiming.rotate_set g1 [ a; b ] in
-  match Retiming.infer ~original:fig1b ~retimed:g2 with
-  | None -> Alcotest.fail "composition is a retiming"
-  | Some r ->
-      check "r(A) = 2" 2 r.(a);
-      check "r(B) = 1" 1 r.(b)
-
-let test_infer_rejects_non_retiming () =
-  let other =
-    Csdfg.make ~name:"fig1b"
-      ~nodes:[ ("A", 1); ("B", 2); ("C", 1); ("D", 1); ("E", 2); ("F", 1) ]
-      ~edges:
-        [
-          ("A", "B", 1, 1); ("A", "C", 0, 1); ("A", "E", 0, 1);
-          ("B", "D", 0, 1); ("B", "E", 0, 2); ("C", "E", 0, 1);
-          ("D", "A", 3, 3); ("D", "F", 0, 2); ("E", "F", 0, 1);
-          ("F", "E", 1, 1);
-        ]
-  in
-  (* A->B gained a delay but A->C did not: no retiming explains it. *)
-  check_bool "inconsistent delta rejected" true
-    (Retiming.infer ~original:fig1b ~retimed:other = None)
-
-(* ------------------------------------------------------------------ *)
 (* Pipeline                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -76,59 +30,45 @@ let compaction_best () =
   (Cyclo.Compaction.run_on fig1b (paper_mesh ())).Cyclo.Compaction.best
 
 let test_pipeline_build () =
-  match Pipeline.build ~original:fig1b (compaction_best ()) with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-      check "prologue length = sum of retiming"
-        (Array.fold_left ( + ) 0 p.Pipeline.retiming)
-        (Pipeline.prologue_length p);
-      check_bool "depth = max retiming" true
-        (p.Pipeline.depth = Array.fold_left max 0 p.Pipeline.retiming);
-      check_bool "depth positive after compaction" true (p.Pipeline.depth >= 1)
+  let p = Pipeline.build (compaction_best ()) in
+  check "prologue length = sum of retiming"
+    (Array.fold_left ( + ) 0 p.Pipeline.retiming)
+    (Pipeline.prologue_length p);
+  check_bool "depth = max retiming" true
+    (p.Pipeline.depth = Array.fold_left max 0 p.Pipeline.retiming);
+  check_bool "depth positive after compaction" true (p.Pipeline.depth >= 1)
 
 let test_pipeline_prologue_iterations_in_range () =
-  match Pipeline.build ~original:fig1b (compaction_best ()) with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-      List.iter
-        (fun i ->
-          check_bool "iteration below node retiming" true
-            (i.Pipeline.iteration < p.Pipeline.retiming.(i.Pipeline.node)))
-        p.Pipeline.prologue
+  let p = Pipeline.build (compaction_best ()) in
+  List.iter
+    (fun i ->
+      check_bool "iteration below node retiming" true
+        (i.Pipeline.iteration < p.Pipeline.retiming.(i.Pipeline.node)))
+    p.Pipeline.prologue
 
 let test_pipeline_epilogue_counts () =
-  match Pipeline.build ~original:fig1b (compaction_best ()) with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-      let n = 40 in
-      let expected =
-        List.fold_left
-          (fun acc v -> acc + (p.Pipeline.depth - p.Pipeline.retiming.(v)))
-          0 (Csdfg.nodes fig1b)
-      in
-      check "epilogue size" expected (Pipeline.epilogue_length p ~n);
-      (* Prologue + kernel instances + epilogue cover each node exactly
-         n times: kernel runs n - depth times covering every node once. *)
-      check "coverage"
-        (6 * n)
-        (Pipeline.prologue_length p
-        + (6 * (n - p.Pipeline.depth))
-        + Pipeline.epilogue_length p ~n)
+  let p = Pipeline.build (compaction_best ()) in
+  let n = 40 in
+  let expected =
+    List.fold_left
+      (fun acc v -> acc + (p.Pipeline.depth - p.Pipeline.retiming.(v)))
+      0 (Csdfg.nodes fig1b)
+  in
+  check "epilogue size" expected (Pipeline.epilogue_length p ~n);
+  (* Prologue + kernel instances + epilogue cover each node exactly
+     n times: kernel runs n - depth times covering every node once. *)
+  check "coverage"
+    (6 * n)
+    (Pipeline.prologue_length p
+    + (6 * (n - p.Pipeline.depth))
+    + Pipeline.epilogue_length p ~n)
 
 let test_pipeline_overhead_vanishes () =
-  match Pipeline.build ~original:fig1b (compaction_best ()) with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-      let r100 = Pipeline.overhead_ratio p ~n:100 in
-      let r10000 = Pipeline.overhead_ratio p ~n:10_000 in
-      check_bool "overhead shrinks with n (paper §2 claim)" true
-        (r10000 < r100 && r10000 < 0.01)
-
-let test_pipeline_rejects_foreign_schedule () =
-  let other = Workloads.Examples.tiny_chain in
-  let s = Cyclo.Startup.run_on other (Topology.complete 2) in
-  check_bool "foreign graph rejected" true
-    (Result.is_error (Pipeline.build ~original:fig1b s))
+  let p = Pipeline.build (compaction_best ()) in
+  let r100 = Pipeline.overhead_ratio p ~n:100 in
+  let r10000 = Pipeline.overhead_ratio p ~n:10_000 in
+  check_bool "overhead shrinks with n (paper §2 claim)" true
+    (r10000 < r100 && r10000 < 0.01)
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive                                                           *)
@@ -224,7 +164,9 @@ let test_csv_roundtrip () =
   let topo = paper_mesh () in
   let comm = Cyclo.Comm.of_topology topo in
   let s = (Cyclo.Compaction.run_on fig1b topo).Cyclo.Compaction.best in
-  match Cyclo.Export.of_csv (Schedule.dfg s) comm (Cyclo.Export.to_csv s) with
+  (* read back against the retimed graph, as `ccsched validate` does *)
+  let retimed = Retiming.apply (Schedule.dfg s) (Schedule.retiming s) in
+  match Cyclo.Export.of_csv retimed comm (Cyclo.Export.to_csv s) with
   | Error msg -> Alcotest.fail msg
   | Ok s' ->
       check "same placements and length" 0 (Schedule.compare_assignments s s');
@@ -502,15 +444,6 @@ let test_pqueue_duplicate_keys () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "retiming-infer",
-        [
-          Alcotest.test_case "identity" `Quick test_infer_identity;
-          Alcotest.test_case "single rotation" `Quick test_infer_single_rotation;
-          Alcotest.test_case "composed rotations" `Quick
-            test_infer_composed_rotations;
-          Alcotest.test_case "non-retiming rejected" `Quick
-            test_infer_rejects_non_retiming;
-        ] );
       ( "pipeline",
         [
           Alcotest.test_case "build" `Quick test_pipeline_build;
@@ -519,8 +452,6 @@ let () =
           Alcotest.test_case "epilogue counts" `Quick test_pipeline_epilogue_counts;
           Alcotest.test_case "overhead vanishes" `Quick
             test_pipeline_overhead_vanishes;
-          Alcotest.test_case "foreign schedule" `Quick
-            test_pipeline_rejects_foreign_schedule;
         ] );
       ( "exhaustive",
         [

@@ -215,7 +215,7 @@ let test_message_count_formula () =
         let cross =
           Schedule.pe s e.Digraph.Graph.src <> Schedule.pe s e.Digraph.Graph.dst
         in
-        if cross then acc + max 0 (iterations - Csdfg.delay e) else acc)
+        if cross then acc + max 0 (iterations - Schedule.delay s e) else acc)
       0
       (Csdfg.edges (Schedule.dfg s))
   in

@@ -98,7 +98,8 @@ let lemma_4_2 =
                       let u = e.Digraph.Graph.src in
                       u = v
                       || (not (Schedule.is_assigned placed u))
-                      || Schedule.cb placed v + (Csdfg.delay e * target)
+                      || Schedule.cb placed v
+                         + (Schedule.delay placed e * target)
                          >= Schedule.ce placed u + Timing.edge_cost placed e + 1)
                     (Csdfg.pred (Schedule.dfg placed) v))
                 (List.init (Schedule.n_processors s) Fun.id)))
@@ -147,6 +148,9 @@ let theorem_4_4 scoring name =
 
 (* --- §2: retiming algebra -------------------------------------------- *)
 
+(* Rotations retime the schedule they act on; the pipeline reads the
+   composed retiming back off the schedule, normalised (the random
+   graphs are connected, so one component). *)
 let retiming_composition =
   QCheck.Test.make ~count:100
     ~name:"§2: composed rotations are recovered exactly by inference"
@@ -156,27 +160,28 @@ let retiming_composition =
       let rng = Random.State.make [| seed |] in
       (* apply up to 4 random legal single-node rotations *)
       let expected = Array.make (Csdfg.n_nodes g) 0 in
-      let rec spin g k =
-        if k = 0 then g
+      let legal_after v =
+        let r = Array.copy expected in
+        r.(v) <- r.(v) + 1;
+        Retiming.is_legal g r
+      in
+      let rec spin s k =
+        if k = 0 then s
         else begin
-          let candidates =
-            List.filter (fun v -> Retiming.can_rotate g [ v ]) (Csdfg.nodes g)
-          in
-          match candidates with
-          | [] -> g
-          | _ ->
+          match List.filter legal_after (Csdfg.nodes g) with
+          | [] -> s
+          | candidates ->
               let v =
                 List.nth candidates
                   (Random.State.int rng (List.length candidates))
               in
               expected.(v) <- expected.(v) + 1;
-              spin (Retiming.rotate_set g [ v ]) (k - 1)
+              spin (Schedule.retime s [ v ]) (k - 1)
         end
       in
-      let g' = spin g 4 in
-      match Retiming.infer ~original:g ~retimed:g' with
-      | None -> false
-      | Some r -> r = Retiming.normalize expected)
+      let s = spin (Startup.run_on g (arch_of_seed seed)) 4 in
+      (Cyclo.Pipeline.build s).Cyclo.Pipeline.retiming
+      = Retiming.normalize expected)
 
 (* --- the io layer never crashes on junk ------------------------------- *)
 

@@ -58,124 +58,178 @@ let cycle_delays g =
          Digraph.Cycles.fold_cycle_weight graph cyc ~init:0 ~f:(fun acc e ->
              acc + Csdfg.delay e))
 
+(* Rotating a set is the retiming r = 1 on the set (Definition 4.1). *)
+let rotation_retiming g set =
+  let r = Retiming.identity g in
+  List.iter (fun v -> r.(v) <- 1) set;
+  r
+
 let prop_rotation_preserves_cycle_delays =
   QCheck.Test.make ~count:100
     ~name:"rotation preserves every cycle's total delay" seed_arb (fun seed ->
       let g = graph_of_seed seed in
-      (* rotate the set of nodes whose in-edges all carry delay, if any *)
+      (* rotate a node whose in-edges all carry delay, if any *)
       let rotatable =
-        List.filter (fun v -> Retiming.can_rotate g [ v ]) (Csdfg.nodes g)
+        List.filter
+          (fun v -> Retiming.is_legal g (rotation_retiming g [ v ]))
+          (Csdfg.nodes g)
       in
       match rotatable with
       | [] -> QCheck.assume_fail ()
       | v :: _ ->
-          let g' = Retiming.rotate_set g [ v ] in
+          let g' = Retiming.apply g (rotation_retiming g [ v ]) in
           cycle_delays g = cycle_delays g')
 
 let prop_rotation_keeps_legality =
   QCheck.Test.make ~count:100 ~name:"legal rotations keep the CSDFG legal"
     seed_arb (fun seed ->
       let g = graph_of_seed seed in
-      match List.filter (fun v -> Retiming.can_rotate g [ v ]) (Csdfg.nodes g) with
+      match
+        List.filter
+          (fun v -> Retiming.is_legal g (rotation_retiming g [ v ]))
+          (Csdfg.nodes g)
+      with
       | [] -> QCheck.assume_fail ()
-      | v :: _ -> Csdfg.is_legal (Retiming.rotate_set g [ v ]))
+      | v :: _ -> Csdfg.is_legal (Retiming.apply g (rotation_retiming g [ v ])))
 
-(* [rotate_set] rewrites only the set's edges; the reference is the
-   whole-graph [apply] of the retiming it stands for.  Both must give the
-   same graph down to every edge order: [Retiming.infer], the export and
-   the golden schedules pair edges by position. *)
-let rotation_retiming g set =
-  let r = Retiming.identity g in
-  List.iter (fun v -> r.(v) <- 1) set;
-  r
-
-let same_csdfg a b =
-  let quad (e : Csdfg.attr Digraph.Graph.edge) =
-    (e.Digraph.Graph.src, e.Digraph.Graph.dst, Csdfg.delay e, Csdfg.volume e)
-  in
-  let quads l = List.map quad l in
-  Csdfg.name a = Csdfg.name b
-  && Csdfg.n_nodes a = Csdfg.n_nodes b
-  && List.for_all
-       (fun v ->
-         Csdfg.label a v = Csdfg.label b v
-         && Csdfg.time a v = Csdfg.time b v
-         && Csdfg.node_of_label a (Csdfg.label a v) = v
-         && quads (Csdfg.succ a v) = quads (Csdfg.succ b v)
-         && quads (Csdfg.pred a v) = quads (Csdfg.pred b v))
-       (Csdfg.nodes a)
-  && quads (Csdfg.edges a) = quads (Csdfg.edges b)
-
-(* A random graph, sometimes with a self-loop and a parallel edge added
-   (both with a delay, so the graph stays legal). *)
+(* A random graph; sometimes with a self-loop and a parallel edge added
+   (both with a delay, so the graph stays legal), sometimes side by side
+   with a second one, so it has two weakly connected components. *)
 let rotation_graph rng seed =
   let params = { small_params with nodes = 8 + (seed mod 17) } in
   let g = graph_of_seed ~params seed in
-  if Random.State.bool rng then g
+  match Random.State.int rng 3 with
+  | 0 -> g
+  | 1 ->
+      let other = { small_params with nodes = 3 + Random.State.int rng 6 } in
+      Dataflow.Transform.disjoint_union g
+        (graph_of_seed ~params:other (seed + 1))
+  | _ ->
+      let n = Csdfg.n_nodes g in
+      let graph = Csdfg.graph g in
+      let v = Random.State.int rng n in
+      let graph =
+        Digraph.Graph.add_edge graph ~src:v ~dst:v
+          { Csdfg.delay = 1; volume = 2 }
+      in
+      let graph =
+        match Csdfg.edges g with
+        | e :: _ ->
+            Digraph.Graph.add_edge graph ~src:e.Digraph.Graph.src
+              ~dst:e.Digraph.Graph.dst
+              { Csdfg.delay = 1 + Random.State.int rng 2; volume = 1 }
+        | [] -> graph
+      in
+      Csdfg.of_graph ~name:(Csdfg.name g)
+        ~labels:(Array.init n (Csdfg.label g))
+        ~time:(Array.init n (Csdfg.time g))
+        graph
+
+(* How the exported retiming was recovered before schedules carried
+   their retiming: from the original and the retimed graph, edge by
+   edge ([r(dst) = r(src) + d - d']), each weakly connected component
+   shifted to minimum 0; [None] when no retiming explains the delays. *)
+let infer ~original ~retimed =
+  let n = Csdfg.n_nodes original in
+  let pairs = List.combine (Csdfg.edges original) (Csdfg.edges retimed) in
+  let delta = Array.make n None and component = Array.make n (-1) in
+  let adj = Array.make n [] in
+  List.iter
+    (fun ((a : Csdfg.attr Digraph.Graph.edge), b) ->
+      let diff = Csdfg.delay a - Csdfg.delay b in
+      let u = a.Digraph.Graph.src and v = a.Digraph.Graph.dst in
+      adj.(u) <- (v, diff) :: adj.(u);
+      adj.(v) <- (u, -diff) :: adj.(v))
+    pairs;
+  let consistent = ref true in
+  let rec visit comp v value =
+    match delta.(v) with
+    | Some existing -> if existing <> value then consistent := false
+    | None ->
+        delta.(v) <- Some value;
+        component.(v) <- comp;
+        List.iter (fun (w, diff) -> visit comp w (value + diff)) adj.(v)
+  in
+  let n_comps = ref 0 in
+  for v = 0 to n - 1 do
+    if delta.(v) = None then begin
+      visit !n_comps v 0;
+      incr n_comps
+    end
+  done;
+  if not !consistent then None
   else begin
-    let n = Csdfg.n_nodes g in
-    let graph = Csdfg.graph g in
-    let v = Random.State.int rng n in
-    let graph =
-      Digraph.Graph.add_edge graph ~src:v ~dst:v { Csdfg.delay = 1; volume = 2 }
-    in
-    let graph =
-      match Csdfg.edges g with
-      | e :: _ ->
-          Digraph.Graph.add_edge graph ~src:e.Digraph.Graph.src
-            ~dst:e.Digraph.Graph.dst
-            { Csdfg.delay = 1 + Random.State.int rng 2; volume = 1 }
-      | [] -> graph
-    in
-    Csdfg.of_graph ~name:(Csdfg.name g)
-      ~labels:(Array.init n (Csdfg.label g))
-      ~time:(Array.init n (Csdfg.time g))
-      graph
+    let raw = Array.map (function Some x -> x | None -> 0) delta in
+    let low = Array.make !n_comps max_int in
+    Array.iteri
+      (fun v x -> low.(component.(v)) <- min low.(component.(v)) x)
+      raw;
+    Some (Array.mapi (fun v x -> x - low.(component.(v))) raw)
   end
 
-let prop_rotate_set_matches_apply =
+(* A table on [s]'s graph and retiming with every node placed without
+   regard to dependences: its first row may hold a node with a
+   zero-delay in-edge from outside the row, so rotating it is illegal. *)
+let scrambled rng s =
+  let g = Schedule.dfg s in
+  let table =
+    Schedule.empty ~retiming:(Schedule.retiming s) g (Schedule.comm s)
+  in
+  List.fold_left
+    (fun t v ->
+      let pe = Random.State.int rng (Schedule.n_processors s) in
+      let span = Schedule.duration t ~node:v ~pe in
+      let cb =
+        Schedule.first_free_slot t ~pe ~from:(1 + Random.State.int rng 3) ~span
+      in
+      Schedule.assign t ~node:v ~cb ~pe)
+    table (Csdfg.nodes g)
+  |> Schedule.normalize
+
+(* Compaction passes chained on random legal graphs, against the
+   reference: [Retiming.apply] of the sum of every applied pass's
+   rotated-row indicator. *)
+let prop_retiming_vector_matches_apply =
   QCheck.Test.make ~count:150
-    ~name:"rotate_set = apply of its retiming, edge orders included" pair_arb
-    (fun (seed, sseed) ->
+    ~name:
+      "retiming vector = apply of rotated rows; refusals = is_legal; export \
+       = infer"
+    pair_arb (fun (seed, sseed) ->
       let rng = Random.State.make [| seed; sseed |] in
       let g = rotation_graph rng seed in
-      let n = Csdfg.n_nodes g in
-      let random_set () =
-        List.filter (fun _ -> Random.State.int rng 3 = 0) (Csdfg.nodes g)
-        @ (if Random.State.bool rng then [ Random.State.int rng n ] else [])
+      let comm = Comm.of_topology (arch_of_seed sseed) in
+      let mode =
+        if Random.State.bool rng then Remap.With_relaxation
+        else Remap.Without_relaxation
       in
-      let first_row s = Schedule.first_row (Schedule.normalize s) in
-      let compacted =
-        (Compaction.run_on ~passes:4 ~validate:false g (arch_of_seed sseed))
-          .Compaction.final
+      let delays s = List.map (Schedule.delay s) (Csdfg.edges g) in
+      let rec chain s reference k =
+        let row = Schedule.first_row (Schedule.normalize s) in
+        let next, outcome = Compaction.pass mode s in
+        let reference =
+          if outcome = Compaction.Stuck then reference
+          else Retiming.compose reference (rotation_retiming g row)
+        in
+        let expected =
+          List.map Csdfg.delay (Csdfg.edges (Retiming.apply g reference))
+        in
+        if delays next <> expected then
+          QCheck.Test.fail_reportf "pass %d: retimed delays differ" k;
+        let exported = (Cyclo.Pipeline.build next).Cyclo.Pipeline.retiming in
+        let retimed = Retiming.apply g (Schedule.retiming next) in
+        if infer ~original:g ~retimed <> Some exported then
+          QCheck.Test.fail_reportf "pass %d: exported retiming differs" k;
+        let t = scrambled rng next in
+        let legal =
+          Retiming.is_legal g
+            (Retiming.compose (Schedule.retiming t)
+               (rotation_retiming g (Schedule.first_row t)))
+        in
+        if Result.is_ok (Cyclo.Rotation.start t) <> legal then
+          QCheck.Test.fail_reportf "pass %d: rotation refused <> illegal" k;
+        k = 6 || chain next reference (k + 1)
       in
-      let cases =
-        [
-          (g, random_set ());
-          (g, random_set ());
-          (g, first_row (Startup.run_on g (arch_of_seed sseed)));
-          (Schedule.dfg compacted, first_row compacted);
-        ]
-      in
-      (* Each legal case is rotated three times in a row, incrementally
-         and by the reference, so rotated graphs feed further rotations. *)
-      let rec agree fast slow set k =
-        let legal = Retiming.is_legal slow (rotation_retiming slow set) in
-        if Retiming.can_rotate fast set <> legal then
-          QCheck.Test.fail_reportf "can_rotate disagrees with is_legal";
-        if not legal then
-          match Retiming.rotate_set fast set with
-          | _ -> QCheck.Test.fail_reportf "an illegal rotation did not raise"
-          | exception Invalid_argument _ -> true
-        else begin
-          let fast = Retiming.rotate_set fast set in
-          let slow = Retiming.apply slow (rotation_retiming slow set) in
-          if not (same_csdfg fast slow) then
-            QCheck.Test.fail_reportf "rotated graphs differ";
-          k = 0 || agree fast slow (random_set ()) (k - 1)
-        end
-      in
-      List.for_all (fun (g, set) -> agree g g set 2) cases)
+      chain (Startup.run g comm) (Retiming.identity g) 1)
 
 let prop_min_period_witness =
   QCheck.Test.make ~count:60
@@ -301,11 +355,13 @@ let reference_check s =
               nodes)
           nodes
       in
+      let r = Schedule.retiming s in
       let dependences =
         List.filter_map
           (fun (e : Csdfg.attr Digraph.Graph.edge) ->
             let u = e.Digraph.Graph.src and v = e.Digraph.Graph.dst in
-            let have = Schedule.cb s v + (Csdfg.delay e * len) in
+            let d = Csdfg.delay e + r.(u) - r.(v) in
+            let have = Schedule.cb s v + (d * len) in
             let want = Schedule.ce s u + Cyclo.Timing.edge_cost s e + 1 in
             if have < want then Some (Validator.Dependence (e, want - have))
             else None)
@@ -348,10 +404,11 @@ let prop_check_equals_reference =
                 Schedule.with_comm s
                   (Comm.scaled topo ~factor:(2 + Random.State.int rng 2))
             | 3 ->
-                (* re-timed delays, zero-delay cycles included *)
-                Schedule.with_dfg s
-                  (Csdfg.redelay (Schedule.dfg s) ~nodes:(Csdfg.nodes g)
-                     (fun _ -> Random.State.int rng 2))
+                (* re-timed delays, negative ones included *)
+                Schedule.retime s
+                  (List.filter
+                     (fun _ -> Random.State.bool rng)
+                     (Csdfg.nodes g))
             | 4 when Schedule.is_assigned s v -> (
                 (* a start near row 2^40 (and a table as long): the
                    check's sort must not grow with the row range *)
@@ -532,15 +589,13 @@ let prop_pipeline_coverage =
         (Compaction.run_on ~passes:12 ~validate:false g (arch_of_seed aseed))
           .Compaction.best
       in
-      match Cyclo.Pipeline.build ~original:g best with
-      | Error _ -> false
-      | Ok p ->
-          let n = 30 in
-          let nodes = Csdfg.n_nodes g in
-          Cyclo.Pipeline.prologue_length p
-          + (nodes * (n - p.Cyclo.Pipeline.depth))
-          + Cyclo.Pipeline.epilogue_length p ~n
-          = nodes * n)
+      let p = Cyclo.Pipeline.build best in
+      let n = 30 in
+      let nodes = Csdfg.n_nodes g in
+      Cyclo.Pipeline.prologue_length p
+      + (nodes * (n - p.Cyclo.Pipeline.depth))
+      + Cyclo.Pipeline.epilogue_length p ~n
+      = nodes * n)
 
 let prop_autotune_gap_nonnegative =
   QCheck.Test.make ~count:25
@@ -569,7 +624,7 @@ let () =
         [
           prop_rotation_preserves_cycle_delays;
           prop_rotation_keeps_legality;
-          prop_rotate_set_matches_apply;
+          prop_retiming_vector_matches_apply;
           prop_min_period_witness;
         ];
       suite "scheduling"

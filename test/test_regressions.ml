@@ -96,15 +96,14 @@ let chain_pipeline () =
       ~nodes:[ ("A", 1); ("B", 1); ("C", 1) ]
       ~edges:[ ("A", "B", 0, 1); ("B", "C", 0, 1) ]
   in
-  let retimed =
-    Csdfg.make ~name:"chain"
-      ~nodes:[ ("A", 1); ("B", 1); ("C", 1) ]
-      ~edges:[ ("A", "B", 1, 1); ("B", "C", 1, 1) ]
-  in
-  let kernel = Startup.run retimed (Comm.zero ~n:1 ~name:"uni") in
-  match Pipeline.build ~original kernel with
-  | Ok p -> p
-  | Error e -> Alcotest.fail e
+  let retiming = [| 2; 1; 0 |] and uni = Comm.zero ~n:1 ~name:"uni" in
+  (* the start-up table of the retimed chain, on a schedule carrying r *)
+  let table = Startup.run (Dataflow.Retiming.apply original retiming) uni in
+  let kernel = ref (Schedule.empty ~retiming original uni) in
+  Schedule.iter_placements
+    (fun v ~cb ~pe -> kernel := Schedule.assign !kernel ~node:v ~cb ~pe)
+    table;
+  Pipeline.build (Schedule.set_length !kernel (Schedule.length table))
 
 let instructions_executed p ~n =
   Pipeline.prologue_length_for p ~n + Pipeline.epilogue_length p ~n

@@ -151,13 +151,6 @@ let test_set_length_too_small () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_with_dfg_mismatch () =
-  let other = Workloads.Examples.tiny_chain in
-  check_bool "different graph rejected" true
-    (match Schedule.with_dfg (empty ()) other with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_signature_distinguishes () =
   let s1 = Schedule.assign (empty ()) ~node:(node "A") ~cb:1 ~pe:0 in
   let s2 = Schedule.assign (empty ()) ~node:(node "A") ~cb:1 ~pe:1 in
@@ -278,7 +271,6 @@ let () =
           Alcotest.test_case "first row / shift" `Quick test_first_row_and_shift;
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "set_length guard" `Quick test_set_length_too_small;
-          Alcotest.test_case "with_dfg mismatch" `Quick test_with_dfg_mismatch;
           Alcotest.test_case "signatures" `Quick test_signature_distinguishes;
         ] );
       ( "timing",
