@@ -766,11 +766,15 @@ let a13 () =
         Topology.complete 8 );
       ("lms4 / 3-cube", Workloads.Kernels.lms ~taps:4, Topology.hypercube 3);
       ("diffeq / ring 4", Workloads.Dsp.diffeq, Topology.ring 4);
+      ( "stencil8 / linear 4",
+        Workloads.Kernels.stencil1d ~points:8,
+        Topology.linear_array 4 );
     ]
   in
   Fmt.pr "%-26s %8s %8s %10s %10s@." "case" "cyclo" "refined" "alternate"
     "accepted";
   let ok = ref true in
+  let shortened = ref [] in
   List.iter
     (fun (name, g, topo) ->
       let r = Compaction.run_on g topo in
@@ -780,14 +784,21 @@ let a13 () =
       let f = Schedule.length refined.Cyclo.Refine.best in
       let a = Schedule.length alt in
       if f > c || a > c then ok := false;
+      if f < c then shortened := Fmt.str "%s %d -> %d" name c f :: !shortened;
       Fmt.pr "%-26s %8d %8d %10d %10d@." name c f a
         refined.Cyclo.Refine.moves_accepted)
     cases;
   paper_vs "a13"
     ~paper:
-      "(negative-result ablation: compaction should already be 1-move \
-       optimal, cf. the zero optimality gaps of A4)"
-    ~measured:(Fmt.str "refinement/alternation never worse: %b" !ok)
+      "(ablation: compaction is usually 1-move optimal, cf. the zero \
+       optimality gaps of A4, but not always: one move shortens stencil8 \
+       on the linear array)"
+    ~measured:
+      (Fmt.str "refinement/alternation never worse: %b; refinement shortens: %s"
+         !ok
+         (match List.rev !shortened with
+         | [] -> "none"
+         | l -> String.concat ", " l))
     ~holds:!ok
 
 (* ------------------------------------------------------------------ *)
@@ -938,7 +949,9 @@ let timing () =
                   (Cyclo.Comm.of_topology mesh))));
       Test.make ~name:"autotune-fig7-mesh"
         (Staged.stage (fun () ->
-             ignore (Cyclo.Autotune.run_on ~parallel:false fig7 m24)));
+             ignore
+               Cyclo.Portfolio.(
+                 polish (run_on ~k:4 ~prune:false ~domains:1 fig7 m24))));
       Test.make ~name:"a14-partition-3apps"
         (Staged.stage (fun () ->
              ignore

@@ -607,17 +607,23 @@ let autotune_cmd =
     let g, _, comm = load_on spec arch k in
     with_observability ~profile ~metrics @@ fun () ->
     let t =
-      Cyclo.Autotune.run ?passes:k.passes ?speeds:k.speeds ?time_budget g comm
+      Cyclo.Portfolio.polish
+        (Cyclo.Portfolio.run ~k:4 ~prune:false ?passes:k.passes
+           ?speeds:k.speeds ?time_budget g comm)
     in
-    Fmt.pr "%a@." Cyclo.Autotune.pp t;
-    Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp t.Cyclo.Autotune.best;
-    Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary t.Cyclo.Autotune.best
+    let best = Cyclo.Portfolio.best t in
+    Fmt.pr "%a@." Cyclo.Portfolio.pp t;
+    Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best;
+    Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary best
   in
   Cmd.v
     (Cmd.info "autotune"
-       ~doc:"Run the whole scheduler portfolio (both modes, both scorings, \
-             plus local-search polish) in parallel and keep the shortest \
-             schedule.")
+       ~doc:"Run both remap modes with both candidate scorings as an \
+             unpruned four-search portfolio, polish each result with \
+             local search, and keep the shortest schedule.  Under \
+             $(b,--time-budget) every search stops at its next pass \
+             boundary once the budget is spent, and a timed-out run is \
+             reported unpolished.")
     Term.(const run $ graph_arg $ arch_arg
           $ knobs_term ~passes:true ~speeds:true ()
           $ time_budget_arg $ profile_arg $ metrics_flag)

@@ -25,7 +25,8 @@ val solve :
   Dataflow.Csdfg.t ->
   Comm.t ->
   outcome
-(** [max_states] bounds the search nodes (default 2_000_000);
+(** [max_states] bounds the search nodes each shard visits, counted
+    across every table length of the deepening (default 2_000_000);
     [max_length] bounds the deepening (default: the start-up schedule's
     length, which is always feasible); [time_budget] is a wall-clock
     limit in seconds (checked every 1024 search nodes, so very small
@@ -35,18 +36,18 @@ val solve :
 
     [shards] (default 1) splits each deepening level across shards by
     round-robin over the root node's candidate (processor, step)
-    placements, numbered in the sequential scan order, running the
-    shards over [domains] domains (default
-    {!Parutil.Parallel.recommended_domains}).  Each shard stops at its
-    first solution and publishes its ordinal through a shared [Atomic],
-    letting shards that can no longer hold the minimum cancel
-    themselves mid-search.  The reported schedule is the minimum-ordinal
-    solution — exactly the one the sequential scan finds first — so
-    sharded and sequential runs are byte-identical, with one caveat:
-    [max_states] applies {e per shard} (total explored states may reach
-    [shards * max_states]), and if any shard exhausts a budget the
-    whole solve degrades to {!Gave_up} just as the sequential solver
-    does.
+    placements, numbered in scan order, running the shards over
+    [domains] domains (default {!Parutil.Parallel.recommended_domains});
+    one shard runs inline.  Each shard stops at its first solution and
+    publishes its ordinal through a shared [Atomic], letting shards
+    that can no longer hold the minimum cancel themselves mid-search.
+    The reported schedule is the minimum-ordinal solution — exactly the
+    one a single shard finds first — so the answer does not depend on
+    [shards], with one caveat: [max_states] applies {e per shard}
+    (total explored states may reach [shards * max_states]), and if any
+    shard exhausts a budget the whole solve degrades to {!Gave_up}.
+    Under a binding budget, [shards > 1] may therefore give up where
+    one shard solves, or the reverse.
     @raise Invalid_argument on an illegal CSDFG or [shards < 1]. *)
 
 val optimality_gap : Schedule.t -> int option

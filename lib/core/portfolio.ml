@@ -56,6 +56,23 @@ let searches ~k ~lower_bound =
 let c_pruned = Obs.Counters.counter "portfolio.pruned_passes"
 let g_bound = Obs.Counters.gauge "portfolio.shared_bound"
 
+(* Best length first, then lexicographic signature, then search index,
+   so the winner never depends on domain count or completion order.
+   Returns the validated winner and the ranked members. *)
+let rank members =
+  let keyed =
+    List.map
+      (fun m ->
+        let best = m.result.Compaction.best in
+        ((Schedule.length best, Schedule.signature best, m.search.index), m))
+      members
+  in
+  match List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) keyed) with
+  | [] -> assert false
+  | winner :: _ as ranked ->
+      Validator.assert_legal winner.result.Compaction.best;
+      (winner, ranked)
+
 (* One search's bookkeeping.  [prev_best] and [last_improve] are
    updated inside the member's own should_stop callback (worker side)
    and at barriers (coordinator side); [st] is advanced by exactly one
@@ -240,37 +257,40 @@ let run ?(k = default_k) ?domains ?(prune = true) ?passes ?time_budget
     end
   in
   loop ();
-  let finished =
-    List.map
-      (fun m ->
-        let member =
-          {
-            search = m.s;
-            result = Compaction.stepper_result m.st;
-            passes = Compaction.passes_run m.st;
-            pruned = m.stopped;
-          }
-        in
-        let best = member.result.Compaction.best in
-        ((Schedule.length best, Schedule.signature best, m.s.index), member))
-      members
+  let winner, ranked =
+    rank
+      (List.map
+         (fun m ->
+           {
+             search = m.s;
+             result = Compaction.stepper_result m.st;
+             passes = Compaction.passes_run m.st;
+             pruned = m.stopped;
+           })
+         members)
   in
-  let ranked =
-    List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) finished)
-  in
-  match ranked with
-  | [] -> assert false
-  | winner :: _ ->
-      Validator.assert_legal winner.result.Compaction.best;
-      {
-        winner;
-        members = ranked;
-        k;
-        domains;
-        lower_bound = lb;
-        rounds = !rounds;
-        timed_out = Atomic.get timed_out;
-      }
+  {
+    winner;
+    members = ranked;
+    k;
+    domains;
+    lower_bound = lb;
+    rounds = !rounds;
+    timed_out = Atomic.get timed_out;
+  }
+
+let polish t =
+  if t.timed_out then t
+  else
+    Obs.Trace.with_span "portfolio.polish" @@ fun () ->
+    let polished =
+      Parutil.Parallel.map ~domains:t.domains
+        (fun m ->
+          { m with result = { m.result with best = Refine.polish m.result } })
+        t.members
+    in
+    let winner, members = rank polished in
+    { t with winner; members }
 
 let run_on ?k ?domains ?prune ?passes ?time_budget ?speeds ?validate dfg topo =
   run ?k ?domains ?prune ?passes ?time_budget ?speeds ?validate dfg
@@ -296,5 +316,8 @@ let pp ppf t =
         m.passes
         (if m.pruned then " (pruned)" else ""))
     t.members;
-  Fmt.pf ppf "  %d searches over %d domains, %d rounds@,@]" t.k t.domains
-    t.rounds
+  Fmt.pf ppf "  %d searches over %d domains, %d rounds@," t.k t.domains
+    t.rounds;
+  if t.timed_out then
+    Fmt.pf ppf "  (time budget exhausted: best-so-far of every search)@,";
+  Fmt.pf ppf "@]"

@@ -39,8 +39,8 @@ let arrival_bounds_all dfg comm st ~np v =
     (Csdfg.pred dfg v);
   bounds
 
-(* Graph-derived setup, reused across runs on the same CSDFG: autotune,
-   the benches and multi-topology sweeps reschedule one graph dozens of
+(* Graph-derived setup, reused across runs on the same CSDFG: the
+   benches and multi-topology sweeps reschedule one graph dozens of
    times, and validation + priority analysis + the zero-delay DAG are a
    fixed per-run cost otherwise.  One slot per domain keeps the memo safe
    under Parutil's domain parallelism. *)

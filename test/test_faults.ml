@@ -382,16 +382,20 @@ let test_exhaustive_budget_carries_best_so_far () =
 let test_autotune_budget_reports_exhaustion () =
   let g = Workloads.Examples.fig7 in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
-  let full = Cyclo.Autotune.run_on ~parallel:false g topo in
-  check_bool "no budget: not exhausted" false full.Cyclo.Autotune.exhausted;
+  let autotune ?time_budget () =
+    Cyclo.Portfolio.(
+      polish (run_on ~k:4 ~prune:false ~domains:1 ?time_budget g topo))
+  in
+  let full = autotune () in
+  check_bool "no budget: not exhausted" false full.Cyclo.Portfolio.timed_out;
   check "no budget: all configurations" 4
-    (List.length full.Cyclo.Autotune.table);
-  let cut = Cyclo.Autotune.run_on ~time_budget:0. g topo in
-  check_bool "zero budget: exhausted" true cut.Cyclo.Autotune.exhausted;
-  check "zero budget: first configuration only" 1
-    (List.length cut.Cyclo.Autotune.table);
+    (List.length full.Cyclo.Portfolio.members);
+  let cut = autotune ~time_budget:0. () in
+  check_bool "zero budget: exhausted" true cut.Cyclo.Portfolio.timed_out;
+  check "zero budget: every configuration reports its best-so-far" 4
+    (List.length cut.Cyclo.Portfolio.members);
   check_bool "still returns a legal best" true
-    (Result.is_ok (Cyclo.Validator.check cut.Cyclo.Autotune.best))
+    (Result.is_ok (Cyclo.Validator.check (Cyclo.Portfolio.best cut)))
 
 let () =
   Alcotest.run "faults"

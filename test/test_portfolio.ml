@@ -1,16 +1,15 @@
 (* Portfolio compaction: the diversification schedule, the
    (length, signature, index) result rule, invariance of the winner in
    the domain count and the pruning flag, the pruning counters, the
-   autotune signature tie-break, and byte-identity of the sharded
-   exhaustive solver.  These pin the determinism contract the bench
-   regression gate relies on. *)
+   wall-clock budget, the autotune preset's signature tie-break after
+   polish, and byte-identity of the sharded exhaustive solver.  These
+   pin the determinism contract the bench regression gate relies on. *)
 
 module Csdfg = Dataflow.Csdfg
 module Schedule = Cyclo.Schedule
 module Comm = Cyclo.Comm
 module Compaction = Cyclo.Compaction
 module Portfolio = Cyclo.Portfolio
-module Autotune = Cyclo.Autotune
 module Exhaustive = Cyclo.Exhaustive
 module Remap = Cyclo.Remap
 
@@ -200,10 +199,42 @@ let test_pruning_counters () =
     (kind "simulator.max_link_backlog" = Some Obs.Counters.Gauge)
 
 (* ------------------------------------------------------------------ *)
-(* Autotune tie-break                                                   *)
+(* Wall-clock budget                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Recompute what autotune computes per configuration
+(* A zero budget retires every search before its first pass, so the
+   winner is the shared start-up schedule whatever the domain count,
+   and polish leaves a timed-out portfolio alone. *)
+let test_zero_time_budget () =
+  let g = Workloads.Filters.elliptic in
+  let comm = Comm.of_topology (Topology.mesh ~rows:4 ~cols:4) in
+  let startup = Cyclo.Startup.run g comm in
+  List.iter
+    (fun domains ->
+      let r = Portfolio.run ~domains ~time_budget:0. g comm in
+      let label what = Printf.sprintf "%s (domains=%d)" what domains in
+      check_bool (label "timed out") true r.Portfolio.timed_out;
+      check_int (label "winner has the start-up length")
+        (Schedule.length startup)
+        (Schedule.length (Portfolio.best r));
+      check_string (label "winner is the start-up schedule")
+        (Schedule.signature startup) (sig_of r);
+      check_bool (label "winner is legal") true
+        (Cyclo.Validator.is_legal (Portfolio.best r));
+      check_bool (label "polish returns it unchanged") true
+        (Portfolio.polish r == r))
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Autotune preset                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* `ccsched autotune`: the four (mode, scoring) searches, unpruned, each
+   result polished by local search. *)
+let autotune ?time_budget ~domains g comm =
+  Portfolio.polish (Portfolio.run ~k:4 ~prune:false ~domains ?time_budget g comm)
+
+(* Recompute what the preset computes per configuration
    (Compaction.run + Refine.polish) and check the published winner is
    the (length, signature) minimum — on a cell where two configurations
    tie at the minimum length with distinct schedules, so the signature
@@ -233,29 +264,25 @@ let test_autotune_signature_tiebreak () =
   check_bool "the tie has distinct schedules" true
     (List.length (List.sort_uniq compare (List.map snd ties)) >= 2);
   List.iter
-    (fun parallel ->
-      let r = Autotune.run ~parallel g comm in
+    (fun domains ->
+      let r = autotune ~domains g comm in
       check_int "winner length is the minimum" exp_len
-        r.Autotune.winner.Autotune.length;
+        (Schedule.length (Portfolio.best r));
       check_string
         (Printf.sprintf
-           "winner (parallel=%b) is the lexicographically smallest signature"
-           parallel)
-        exp_sig
-        (Schedule.signature r.Autotune.best))
-    [ false; true ]
+           "winner (domains=%d) is the lexicographically smallest signature"
+           domains)
+        exp_sig (sig_of r))
+    [ 1; 2 ]
 
 let test_autotune_budget_parallel () =
   let g = Workloads.Filters.elliptic in
   let comm = Comm.of_topology (Topology.mesh ~rows:4 ~cols:4) in
-  let r = Autotune.run ~parallel:true ~time_budget:0. g comm in
-  check_bool "zero budget skips later configurations" true r.Autotune.exhausted;
-  check_int "the first configuration still ran to completion" 1
-    (List.length r.Autotune.table);
-  let r0 = Autotune.run ~parallel:false ~time_budget:0. g comm in
-  check_string "same deadline semantics with and without domains"
-    (Schedule.signature r0.Autotune.best)
-    (Schedule.signature r.Autotune.best)
+  let r = autotune ~domains:2 ~time_budget:0. g comm in
+  check_bool "zero budget retires every search" true r.Portfolio.timed_out;
+  let r0 = autotune ~domains:1 ~time_budget:0. g comm in
+  check_string "same deadline semantics with and without domains" (sig_of r0)
+    (sig_of r)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded exhaustive search                                            *)
@@ -305,6 +332,7 @@ let () =
           Alcotest.test_case "pruning counters" `Quick test_pruning_counters;
           QCheck_alcotest.to_alcotest prop_domain_invariance;
           QCheck_alcotest.to_alcotest prop_winner_legal_and_bounded;
+          Alcotest.test_case "zero time budget" `Quick test_zero_time_budget;
         ] );
       ( "autotune",
         [

@@ -607,9 +607,11 @@ let prop_autotune_gap_nonnegative =
       in
       let g = Workloads.Random_gen.generate_connected ~params ~seed () in
       let t =
-        Cyclo.Autotune.run_on ~parallel:false g (Topology.linear_array 2)
+        Cyclo.Portfolio.(
+          polish
+            (run_on ~k:4 ~prune:false ~domains:1 g (Topology.linear_array 2)))
       in
-      match Cyclo.Exhaustive.optimality_gap t.Cyclo.Autotune.best with
+      match Cyclo.Exhaustive.optimality_gap (Cyclo.Portfolio.best t) with
       | None -> true
       | Some gap -> gap >= 0)
 

@@ -105,18 +105,22 @@ let test_polish () =
   check_bool "polish <= best" true
     (Schedule.length polished <= Schedule.length r.Compaction.best)
 
+(* `ccsched autotune`: the four (mode, scoring) searches, unpruned, each
+   result polished by local search. *)
+let autotune ?domains g topo =
+  Cyclo.Portfolio.(polish (run_on ~k:4 ~prune:false ?domains g topo))
+
 let test_autotune_never_worse_than_any_config () =
   let g = Workloads.Examples.fig7 in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
-  let t = Cyclo.Autotune.run_on g topo in
-  check_bool "legal" true (Cyclo.Validator.is_legal t.Cyclo.Autotune.best);
+  let best = Cyclo.Portfolio.best (autotune g topo) in
+  check_bool "legal" true (Cyclo.Validator.is_legal best);
   List.iter
     (fun (mode, scoring) ->
       let r = Compaction.run_on ~mode ~scoring g topo in
       Alcotest.(check bool)
         "winner <= every configuration" true
-        (Schedule.length t.Cyclo.Autotune.best
-        <= Schedule.length r.Compaction.best))
+        (Schedule.length best <= Schedule.length r.Compaction.best))
     [
       (Cyclo.Remap.With_relaxation, Cyclo.Remap.Pressure_first);
       (Cyclo.Remap.With_relaxation, Cyclo.Remap.Earliest_step);
@@ -125,24 +129,25 @@ let test_autotune_never_worse_than_any_config () =
     ]
 
 let test_autotune_table_sorted () =
-  let t =
-    Cyclo.Autotune.run_on Workloads.Dsp.diffeq (Topology.ring 4)
-  in
-  check "four configurations" 4 (List.length t.Cyclo.Autotune.table);
+  let t = autotune Workloads.Dsp.diffeq (Topology.ring 4) in
+  check "four configurations" 4 (List.length t.Cyclo.Portfolio.members);
   let lengths =
-    List.map (fun e -> e.Cyclo.Autotune.length) t.Cyclo.Autotune.table
+    List.map
+      (fun m -> Schedule.length m.Cyclo.Portfolio.result.Compaction.best)
+      t.Cyclo.Portfolio.members
   in
   check_bool "sorted ascending" true (List.sort compare lengths = lengths);
   check "winner is the head" (List.hd lengths)
-    t.Cyclo.Autotune.winner.Cyclo.Autotune.length
+    (Schedule.length (Cyclo.Portfolio.best t))
 
 let test_autotune_parallel_equals_sequential () =
   let g = Workloads.Dsp.iir_biquad in
   let topo = Topology.mesh ~rows:2 ~cols:2 in
-  let a = Cyclo.Autotune.run_on ~parallel:true g topo in
-  let b = Cyclo.Autotune.run_on ~parallel:false g topo in
-  check "same winner length" b.Cyclo.Autotune.winner.Cyclo.Autotune.length
-    a.Cyclo.Autotune.winner.Cyclo.Autotune.length
+  let a = Cyclo.Portfolio.best (autotune ~domains:2 g topo) in
+  let b = Cyclo.Portfolio.best (autotune ~domains:1 g topo) in
+  check "same winner length" (Schedule.length b) (Schedule.length a);
+  Alcotest.(check string)
+    "same winner" (Schedule.signature b) (Schedule.signature a)
 
 let test_incomplete_rejected () =
   let g = Workloads.Examples.fig1b in

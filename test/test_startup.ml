@@ -247,10 +247,27 @@ let test_deterministic () =
 
 (* With the journal on, the sweep probes every ready node at every step
    (each rejection is an event); with it off, it skips the steps where
-   every processor is busy.  On loops big enough to keep every processor
-   of the machine busy, the off run must take that skip (counted in
-   startup.steps_skipped; node times up to 8 steps make it jump in every
-   case) and both runs must build the same schedule. *)
+   every processor is busy.  Both runs must build the same schedule.
+   Returns the two signatures and the steps the off run skipped. *)
+let journal_on_off ~nodes ~np ~seed =
+  let g = Workloads.Random_gen.layered ~max_time:8 ~nodes ~seed () in
+  let topo = Topology.linear_array np in
+  let run () = Schedule.signature (Startup.run_on g topo) in
+  Obs.Counters.enable ();
+  Obs.Counters.reset ();
+  let off = run () in
+  let skipped =
+    Obs.Counters.value (Obs.Counters.counter "startup.steps_skipped")
+  in
+  Obs.Counters.disable ();
+  Obs.Journal.enable ();
+  let on = run () in
+  Obs.Journal.disable ();
+  Obs.Journal.reset ();
+  (off, on, skipped)
+
+(* Whether a draw keeps every processor busy long enough to skip a step
+   depends on its shape, so the property checks on = off only. *)
 let test_journal_on_equals_off =
   QCheck.Test.make ~count:6
     ~name:"journal on = off on busy machines (layered, 2-8 PEs)"
@@ -259,20 +276,26 @@ let test_journal_on_equals_off =
         ~print:Print.(triple int int int)
         Gen.(triple (int_range 200 2000) (int_range 2 8) (int_range 0 10_000)))
     (fun (nodes, np, seed) ->
-      let g = Workloads.Random_gen.layered ~max_time:8 ~nodes ~seed () in
-      let topo = Topology.linear_array np in
-      let run () = Schedule.signature (Startup.run_on g topo) in
-      Obs.Counters.enable ();
-      let off = run () in
-      let skipped =
-        Obs.Counters.value (Obs.Counters.counter "startup.steps_skipped")
-      in
-      Obs.Counters.disable ();
-      Obs.Journal.enable ();
-      let on = run () in
-      Obs.Journal.disable ();
-      Obs.Journal.reset ();
-      skipped > 0 && String.equal off on)
+      let off, on, _ = journal_on_off ~nodes ~np ~seed in
+      String.equal off on)
+
+(* Two processors under 2,000 nodes of up to 8 steps each are saturated,
+   so the off run must take the skip. *)
+let test_journal_off_skips_on_saturated_machine () =
+  let off, on, skipped = journal_on_off ~nodes:2000 ~np:2 ~seed:0 in
+  check_bool "steps skipped" true (skipped > 0);
+  Alcotest.(check string) "journal on = off" off on
+
+(* Draws that never keep every processor busy, so nothing is skipped;
+   the schedules must still agree. *)
+let test_journal_on_equals_off_unsaturated () =
+  List.iter
+    (fun (nodes, np, seed) ->
+      let off, on, skipped = journal_on_off ~nodes ~np ~seed in
+      let label = Printf.sprintf "%d nodes, %d PEs, seed %d" nodes np seed in
+      check (label ^ ": nothing skipped") 0 skipped;
+      Alcotest.(check string) (label ^ ": journal on = off") off on)
+    [ (294, 8, 8498); (253, 7, 8149); (589, 8, 6955) ]
 
 let () =
   Alcotest.run "startup"
@@ -306,6 +329,10 @@ let () =
             test_all_workloads_valid_everywhere;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           QCheck_alcotest.to_alcotest test_journal_on_equals_off;
+          Alcotest.test_case "journal off skips on a saturated machine" `Quick
+            test_journal_off_skips_on_saturated_machine;
+          Alcotest.test_case "journal on = off, nothing skipped" `Quick
+            test_journal_on_equals_off_unsaturated;
         ] );
       ( "strategies",
         [
