@@ -79,7 +79,11 @@ let duration t ~node ~pe =
 
 let dfg t = t.dfg
 let retiming t = Array.copy t.retiming
-let delay t e = Dataflow.Retiming.retimed_delay t.retiming e
+(* Spelled out rather than calling [Dataflow.Retiming.retimed_delay]:
+   the timing, remap, validator and simulator loops read it per edge,
+   and the cross-module call was not inlined. *)
+let[@inline] delay t (e : Csdfg.attr Digraph.Graph.edge) =
+  e.label.delay + t.retiming.(e.src) - t.retiming.(e.dst)
 
 let retime t nodes =
   let retiming = Array.copy t.retiming in
