@@ -951,7 +951,7 @@ let timing () =
         (Staged.stage (fun () ->
              ignore
                Cyclo.Portfolio.(
-                 polish (run_on ~k:4 ~prune:false ~domains:1 fig7 m24))));
+                 polish (run_on ~k:4 ~domains:1 fig7 m24))));
       Test.make ~name:"a14-partition-3apps"
         (Staged.stage (fun () ->
              ignore

@@ -279,14 +279,13 @@ let scale_json cells =
   Buffer.add_char buf ']';
   Buffer.contents buf
 
-(* Portfolio vs sequential pair: the same K diversified searches driven
-   with shared-bound pruning (Portfolio.run defaults) against the
-   baseline that drives every search to its natural end
-   ([~prune:false ~domains:1]).  Wall-clock is best-of-two to damp
-   scheduler noise; pass counts and winner identity are exact, so the
-   regression gate leans on those — [winner_match] asserts the two
-   variants pick byte-identical winners, which is the portfolio's
-   determinism contract. *)
+(* Portfolio vs sequential pair: the same K diversified searches over
+   the default domain count (Portfolio.run defaults) against one domain
+   ([~domains:1]).  Wall-clock is best-of-two to damp scheduler noise;
+   pass counts and winner identity are exact, so the regression gate
+   leans on those — both variants run the same searches, so
+   [winner_match] asserts byte-identical winners (the portfolio's
+   determinism contract) and the pass totals must be equal. *)
 type pf_cell = {
   pf_workload : string;
   pf_topology : string;
@@ -319,8 +318,7 @@ let portfolio_cells () =
         (fun (tn, topo) ->
           let seq, seq_ms =
             best_of_two (fun () ->
-                Portfolio.run_on ~prune:false ~domains:1 ~validate:false g
-                  topo)
+                Portfolio.run_on ~domains:1 ~validate:false g topo)
           in
           let pf, pf_ms =
             best_of_two (fun () -> Portfolio.run_on ~validate:false g topo)

@@ -168,9 +168,10 @@ let load_on spec arch knobs =
 
 let portfolio_arg =
   let doc =
-    "Run $(docv) diversified compaction searches as a portfolio (mode, \
-     scoring, placement order and target-length ladder) with shared-bound \
-     pruning, and report the deterministic winner."
+    "Run $(docv) (1 to 8) diversified compaction searches as a portfolio \
+     (remap mode, candidate scoring and placement order), each to its \
+     natural end or the lower bound, and report the deterministic \
+     winner."
   in
   Arg.(value & opt (some int) None & info [ "portfolio" ] ~docv:"K" ~doc)
 
@@ -301,8 +302,11 @@ let schedule_cmd =
     else
     match portfolio with
     | Some n ->
-        if n < 1 then die 2 "--portfolio needs K >= 1";
-        let t = Cyclo.Portfolio.run ~k:n ?domains ?speeds ?passes g comm in
+        let t =
+          match Cyclo.Portfolio.run ~k:n ?domains ?speeds ?passes g comm with
+          | t -> t
+          | exception Invalid_argument msg -> die 2 msg
+        in
         let best = Cyclo.Portfolio.best t in
         Fmt.pr "workload %s on %s@." (Dataflow.Csdfg.name g)
           (Topology.name topo);
@@ -608,8 +612,8 @@ let autotune_cmd =
     with_observability ~profile ~metrics @@ fun () ->
     let t =
       Cyclo.Portfolio.polish
-        (Cyclo.Portfolio.run ~k:4 ~prune:false ?passes:k.passes
-           ?speeds:k.speeds ?time_budget g comm)
+        (Cyclo.Portfolio.run ~k:4 ?passes:k.passes ?speeds:k.speeds
+           ?time_budget g comm)
     in
     let best = Cyclo.Portfolio.best t in
     Fmt.pr "%a@." Cyclo.Portfolio.pp t;
@@ -618,8 +622,8 @@ let autotune_cmd =
   in
   Cmd.v
     (Cmd.info "autotune"
-       ~doc:"Run both remap modes with both candidate scorings as an \
-             unpruned four-search portfolio, polish each result with \
+       ~doc:"Run both remap modes with both candidate scorings as a \
+             four-search portfolio, polish each result with \
              local search, and keep the shortest schedule.  Under \
              $(b,--time-budget) every search stops at its next pass \
              boundary once the budget is spent, and a timed-out run is \

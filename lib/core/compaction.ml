@@ -81,11 +81,10 @@ let state_hash sched =
   land max_int
 
 (* Resumable search state.  [drive] below is a thin wrapper that runs a
-   stepper to completion in one call; Portfolio instead interleaves many
-   steppers round-robin, pausing each after a fixed slice of passes.
-   Both paths execute the identical pass sequence, so for any given
-   knobs a stepper's trajectory is byte-identical however it is
-   sliced. *)
+   stepper to completion in one call, as Portfolio does per search; a
+   caller may also advance it a slice of passes at a time.  Every
+   slicing executes the identical pass sequence, so for any given knobs
+   a stepper's trajectory is byte-identical however it is sliced. *)
 type stepper = {
   sp_mode : Remap.mode;
   sp_scoring : Remap.scoring option;
@@ -194,9 +193,9 @@ let stepper_result st =
     timed_out = false;
   }
 
-(* A wall-clock budget is enforced through the same [should_stop] hook
-   Portfolio uses for pruning: checked before every pass, so a pass that
-   is already running completes — cancellation lands at the next pass
+(* A wall-clock budget is enforced through the [should_stop] hook
+   Portfolio also uses: checked before every pass, so a pass that is
+   already running completes — cancellation lands at the next pass
    boundary and the best-so-far schedule always stands. *)
 let deadline_stop time_budget =
   match time_budget with

@@ -102,10 +102,11 @@ val pass :
     A {!stepper} holds one search's full mutable state — current
     schedule, best-so-far, trace, pass counter and the repeated-state
     table — so the pass loop can be paused and resumed without changing
-    its trajectory.  [run]/[resume] are now thin wrappers that drive a
-    stepper to completion in one call; {!Portfolio} interleaves many
-    steppers in fixed-size slices.  For fixed knobs the executed pass
-    sequence is byte-identical however the budget is sliced. *)
+    its trajectory.  [run]/[resume] are thin wrappers that drive a
+    stepper to completion in one call, as {!Portfolio} does for each of
+    its searches; a caller may also advance it a few passes at a time.
+    For fixed knobs the executed pass sequence is byte-identical however
+    the budget is sliced. *)
 
 type stepper
 
@@ -134,7 +135,8 @@ val advance :
     exactly as if its budget had run out (its best-so-far stands).
     [should_stop] is consulted before {e every} pass with the 1-based
     index of the pass about to run and the current best length — the
-    early-prune hook used by {!Portfolio}'s shared bound. *)
+    hook through which a wall-clock deadline stops a search, and
+    {!Portfolio} stops one that has reached the lower bound. *)
 
 val stepper_result : stepper -> result
 (** Snapshot the stepper as a {!result} ([startup] = the initial

@@ -383,8 +383,7 @@ let test_autotune_budget_reports_exhaustion () =
   let g = Workloads.Examples.fig7 in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
   let autotune ?time_budget () =
-    Cyclo.Portfolio.(
-      polish (run_on ~k:4 ~prune:false ~domains:1 ?time_budget g topo))
+    Cyclo.Portfolio.(polish (run_on ~k:4 ~domains:1 ?time_budget g topo))
   in
   let full = autotune () in
   check_bool "no budget: not exhausted" false full.Cyclo.Portfolio.timed_out;

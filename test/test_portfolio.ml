@@ -1,9 +1,11 @@
-(* Portfolio compaction: the diversification schedule, the
-   (length, signature, index) result rule, invariance of the winner in
-   the domain count and the pruning flag, the pruning counters, the
-   wall-clock budget, the autotune preset's signature tie-break after
-   polish, and byte-identity of the sharded exhaustive solver.  These
-   pin the determinism contract the bench regression gate relies on. *)
+(* Portfolio compaction: the diversification schedule and its range,
+   the (length, signature, index) result rule, the guarantee against
+   plain Compaction.run on the suite (never longer; k = 1 is
+   Compaction.run), invariance of the winner in the domain count, the
+   search spans, the wall-clock budget, the autotune preset's signature
+   tie-break after polish, and byte-identity of the sharded exhaustive
+   solver.  These pin the determinism contract the bench regression
+   gate relies on. *)
 
 module Csdfg = Dataflow.Csdfg
 module Schedule = Cyclo.Schedule
@@ -18,25 +20,18 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let sig_of r = Schedule.signature (Portfolio.best r)
 
-let bench_cells =
-  [
-    ("elliptic/linear8", Workloads.Filters.elliptic, Topology.linear_array 8);
-    ( "elliptic/mesh4x4",
-      Workloads.Filters.elliptic,
-      Topology.mesh ~rows:4 ~cols:4 );
-    ("lms4/linear8", Workloads.Kernels.lms ~taps:4, Topology.linear_array 8);
-    ( "lms4/mesh4x4",
-      Workloads.Kernels.lms ~taps:4,
-      Topology.mesh ~rows:4 ~cols:4 );
-  ]
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
 
 (* ------------------------------------------------------------------ *)
 (* Diversification schedule                                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_searches () =
-  let s = Portfolio.searches ~k:9 ~lower_bound:5 in
-  check_int "k entries" 9 (List.length s);
+  let s = Portfolio.searches ~k:Portfolio.max_k in
+  check_int "max_k entries" 8 (List.length s);
   let nth i = List.nth s i in
   check_bool "search 0 is the Compaction.run default" true
     ((nth 0).Portfolio.mode = Remap.With_relaxation
@@ -51,9 +46,38 @@ let test_searches () =
     = 4);
   check_bool "order flips to reverse at index 4" true
     ((nth 4).Portfolio.order = Remap.Reverse);
-  check_int "target ladder sits on the lower bound for rung 0" 5
-    (nth 0).Portfolio.l_target;
-  check_int "target ladder rises at index 8" 6 (nth 8).Portfolio.l_target
+  check_int "all eight searches are distinct" 8
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (fun s -> (s.Portfolio.mode, s.Portfolio.scoring, s.Portfolio.order))
+             s)))
+
+(* Only eight distinct searches exist, so any other k is refused before
+   any work is done. *)
+let test_k_range () =
+  let g = Workloads.Examples.fig7 and topo = Topology.mesh ~rows:2 ~cols:4 in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument msg ->
+        check_bool (what ^ ": the message names the range") true
+          (contains msg "1..8")
+  in
+  List.iter
+    (fun k ->
+      refused (Printf.sprintf "run ~k:%d" k) (fun () ->
+          Portfolio.run_on ~k ~domains:1 g topo);
+      refused (Printf.sprintf "searches ~k:%d" k) (fun () ->
+          Portfolio.searches ~k))
+    [ 0; -1; 9; max_int ];
+  List.iter
+    (fun k ->
+      check_int
+        (Printf.sprintf "k = %d runs k searches" k)
+        k
+        (List.length (Portfolio.run_on ~k ~domains:1 g topo).Portfolio.members))
+    [ 1; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Result rule                                                          *)
@@ -64,7 +88,7 @@ let test_searches () =
    — that ranking IS the determinism contract. *)
 let test_result_rule () =
   let g = Workloads.Kernels.lms ~taps:4 and topo = Topology.linear_array 4 in
-  let r = Portfolio.run_on ~prune:false ~domains:1 ~validate:false g topo in
+  let r = Portfolio.run_on ~domains:1 ~validate:false g topo in
   let keys =
     List.map
       (fun m ->
@@ -93,31 +117,95 @@ let test_result_rule () =
         (String.compare win_sig s <= 0))
     at_min
 
+(* ------------------------------------------------------------------ *)
+(* Against plain Compaction.run on the suite                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The 20 suite loops on eight machines, each with Compaction.run's best
+   schedule, which is the portfolio's search 0. *)
+let suite_machines =
+  [
+    "linear:4";
+    "linear:8";
+    "mesh:2x2";
+    "mesh:2x4";
+    "ring:8";
+    "complete:8";
+    "hypercube:3";
+    "mesh:4x4";
+  ]
+
+let suite =
+  lazy
+    (List.concat_map
+       (fun spec ->
+         let comm = Comm.of_topology (Result.get_ok (Topology.of_spec spec)) in
+         List.map
+           (fun (name, g) ->
+             ( name ^ "/" ^ spec,
+               g,
+               comm,
+               (Compaction.run ~validate:false g comm).Compaction.best ))
+           (Workloads.Suite.all ()))
+       suite_machines)
+
+(* MD5 of the "cell;length;signature" lines of the default portfolio's
+   winners over [suite]: the winners of every search driven to its
+   natural end (or the lower bound) on one domain. *)
+let suite_winners_digest = "f0573b3af02a6c2862cf0c21a83a5a54"
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Every search runs to its end or the lower bound, and search 0 is
+   Compaction.run, so the winner can never be longer than it. *)
+let suite_winners ~domains =
+  List.map
+    (fun (cell, g, comm, plain) ->
+      let w = Portfolio.best (Portfolio.run ?domains ~validate:false g comm) in
+      if Schedule.length w > Schedule.length plain then
+        Alcotest.failf "%s: portfolio %d is longer than Compaction.run %d" cell
+          (Schedule.length w) (Schedule.length plain);
+      Printf.sprintf "%s;%d;%s" cell (Schedule.length w) (Schedule.signature w))
+    (Lazy.force suite)
+
+let test_never_longer_than_compaction () =
+  check_string "winners on the default domain count" suite_winners_digest
+    (digest (suite_winners ~domains:None))
+
+let test_suite_winners_one_domain () =
+  check_string "winners on one domain" suite_winners_digest
+    (digest (suite_winners ~domains:(Some 1)))
+
 let test_k1_matches_compaction () =
   List.iter
-    (fun (name, g, topo) ->
-      let p = Portfolio.run_on ~k:1 ~domains:1 ~validate:false g topo in
-      let c = Compaction.run_on ~validate:false g topo in
+    (fun (cell, g, comm, plain) ->
+      let p = Portfolio.run ~k:1 ~domains:1 ~validate:false g comm in
       check_string
-        (name ^ ": k=1 winner is the plain Compaction.run schedule")
-        (Schedule.signature c.Compaction.best)
-        (sig_of p))
-    bench_cells
+        (cell ^ ": k=1 winner is the plain Compaction.run schedule")
+        (Schedule.signature plain) (sig_of p))
+    (Lazy.force suite)
+
+(* A search stops once its best reaches the lower bound, at the pass
+   that reached it; Compaction.run itself keeps going (on fig7/linear:4
+   search 0 reaches the bound 6 at pass 60, Compaction.run stops at 65). *)
+let test_stops_at_lower_bound () =
+  let g = Workloads.Examples.fig7 and topo = Topology.linear_array 4 in
+  let r = Portfolio.run_on ~k:1 ~domains:1 ~validate:false g topo in
+  let c = Compaction.run_on ~validate:false g topo in
+  let lb = r.Portfolio.lower_bound in
+  check_int "the winner is at the lower bound" lb
+    (Schedule.length (Portfolio.best r));
+  let reached =
+    List.find (fun e -> e.Compaction.length <= lb) c.Compaction.trace
+  in
+  check_int "search 0 stopped at the pass that reached it"
+    reached.Compaction.pass r.Portfolio.winner.Portfolio.passes;
+  check_bool "Compaction.run ran past it" true
+    (List.length c.Compaction.trace > reached.Compaction.pass)
 
 (* ------------------------------------------------------------------ *)
-(* Winner invariance: domains, pruning                                  *)
+(* Winner invariance in the domain count                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_prune_preserves_winner () =
-  List.iter
-    (fun (name, g, topo) ->
-      let full =
-        Portfolio.run_on ~prune:false ~domains:1 ~validate:false g topo
-      in
-      let pruned = Portfolio.run_on ~validate:false g topo in
-      check_string (name ^ ": pruned winner = full winner") (sig_of full)
-        (sig_of pruned))
-    bench_cells
 
 let small_params =
   { Workloads.Random_gen.default with nodes = 6; feedback_edges = 2 }
@@ -162,34 +250,33 @@ let prop_winner_legal_and_bounded =
       && Schedule.length (Portfolio.best r) >= r.Portfolio.lower_bound)
 
 (* ------------------------------------------------------------------ *)
-(* Pruning bookkeeping                                                  *)
+(* Observability                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_pruning_counters () =
-  Obs.Counters.enable ();
-  Obs.Counters.reset ();
+let test_counters_and_spans () =
+  Obs.Trace.enable ();
   let r =
     Portfolio.run_on ~validate:false Workloads.Filters.elliptic
       (Topology.mesh ~rows:4 ~cols:4)
   in
-  let dump = Obs.Counters.dump () in
-  Obs.Counters.disable ();
-  let v name = Option.value ~default:0 (List.assoc_opt name dump) in
-  check_bool "some members were pruned" true
-    (List.exists (fun m -> m.Portfolio.pruned) r.Portfolio.members);
-  check_bool "pruned passes accumulated" true (v "portfolio.pruned_passes" > 0);
-  check_int "shared-bound gauge settles on the winner length"
-    (Schedule.length (Portfolio.best r))
-    (v "portfolio.shared_bound");
+  Obs.Trace.disable ();
+  let searched =
+    List.filter_map
+      (fun s ->
+        if String.equal s.Obs.Trace.name "portfolio.search" then
+          List.assoc_opt "search" s.Obs.Trace.args
+        else None)
+      (Obs.Trace.spans ())
+  in
+  Obs.Trace.reset ();
+  check_bool "one portfolio.search span per search" true
+    (List.sort compare searched
+    = List.sort compare (List.init r.Portfolio.k string_of_int));
   let kind name =
     List.find_map
       (fun (n, k, _) -> if String.equal n name then Some k else None)
       (Obs.Counters.snapshot ())
   in
-  check_bool "shared_bound registered as a gauge" true
-    (kind "portfolio.shared_bound" = Some Obs.Counters.Gauge);
-  check_bool "pruned_passes registered as a counter" true
-    (kind "portfolio.pruned_passes" = Some Obs.Counters.Counter);
   check_bool "compaction.best_length registered as a gauge" true
     (kind "compaction.best_length" = Some Obs.Counters.Gauge);
   (* counters register at module init, so the module must be linked
@@ -229,10 +316,10 @@ let test_zero_time_budget () =
 (* Autotune preset                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* `ccsched autotune`: the four (mode, scoring) searches, unpruned, each
-   result polished by local search. *)
+(* `ccsched autotune`: the four (mode, scoring) searches, each result
+   polished by local search. *)
 let autotune ?time_budget ~domains g comm =
-  Portfolio.polish (Portfolio.run ~k:4 ~prune:false ~domains ?time_budget g comm)
+  Portfolio.polish (Portfolio.run ~k:4 ~domains ?time_budget g comm)
 
 (* Recompute what the preset computes per configuration
    (Compaction.run + Refine.polish) and check the published winner is
@@ -324,12 +411,18 @@ let () =
       ( "portfolio",
         [
           Alcotest.test_case "diversification schedule" `Quick test_searches;
+          Alcotest.test_case "k outside 1..8 is refused" `Quick test_k_range;
           Alcotest.test_case "result rule" `Quick test_result_rule;
           Alcotest.test_case "k=1 = Compaction.run" `Quick
             test_k1_matches_compaction;
-          Alcotest.test_case "pruning preserves the winner" `Quick
-            test_prune_preserves_winner;
-          Alcotest.test_case "pruning counters" `Quick test_pruning_counters;
+          Alcotest.test_case "never longer than Compaction.run" `Quick
+            test_never_longer_than_compaction;
+          Alcotest.test_case "suite winners on one domain" `Quick
+            test_suite_winners_one_domain;
+          Alcotest.test_case "a search stops at the lower bound" `Quick
+            test_stops_at_lower_bound;
+          Alcotest.test_case "search spans and counter kinds" `Quick
+            test_counters_and_spans;
           QCheck_alcotest.to_alcotest prop_domain_invariance;
           QCheck_alcotest.to_alcotest prop_winner_legal_and_bounded;
           Alcotest.test_case "zero time budget" `Quick test_zero_time_budget;

@@ -608,8 +608,7 @@ let prop_autotune_gap_nonnegative =
       let g = Workloads.Random_gen.generate_connected ~params ~seed () in
       let t =
         Cyclo.Portfolio.(
-          polish
-            (run_on ~k:4 ~prune:false ~domains:1 g (Topology.linear_array 2)))
+          polish (run_on ~k:4 ~domains:1 g (Topology.linear_array 2)))
       in
       match Cyclo.Exhaustive.optimality_gap (Cyclo.Portfolio.best t) with
       | None -> true

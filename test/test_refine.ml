@@ -105,10 +105,10 @@ let test_polish () =
   check_bool "polish <= best" true
     (Schedule.length polished <= Schedule.length r.Compaction.best)
 
-(* `ccsched autotune`: the four (mode, scoring) searches, unpruned, each
-   result polished by local search. *)
+(* `ccsched autotune`: the four (mode, scoring) searches, each result
+   polished by local search. *)
 let autotune ?domains g topo =
-  Cyclo.Portfolio.(polish (run_on ~k:4 ~prune:false ?domains g topo))
+  Cyclo.Portfolio.(polish (run_on ~k:4 ?domains g topo))
 
 let test_autotune_never_worse_than_any_config () =
   let g = Workloads.Examples.fig7 in

@@ -29,7 +29,7 @@ let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 (* ------------------------------------------------------------------ *)
 
 let autotune_best g comm =
-  Cyclo.Portfolio.(best (polish (run ~k:4 ~prune:false g comm)))
+  Cyclo.Portfolio.(best (polish (run ~k:4 g comm)))
 
 let transports =
   [ ("store-and-forward", Comm.of_topology); ("wormhole", Comm.wormhole) ]
