@@ -214,6 +214,10 @@ let log_contains needle =
 
 let archs = [| "mesh:2x4"; "ring:8"; "hypercube:3"; "linear:8" |]
 
+(* The .csdfg text of the request every cycle kills in flight. *)
+let in_flight_graph =
+  Dataflow.Io.to_string (Workloads.Random_gen.layered ~nodes:2_000 ~seed:1 ())
+
 let () =
   (try Unix.mkdir dir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -252,15 +256,17 @@ let () =
                  fail_links = [];
                  deadline_ms = None;
                })));
-    (* 3. kill the daemon mid-request: the in-flight search needs
-       hundreds of ms, the kill lands within ~10 *)
+    (* 3. kill the daemon mid-request: the kill lands within ~10 ms,
+       and the in-flight request is a 2,000-node loop run for 1,000
+       passes, which takes about 0.9 s in the dev build — far more than
+       any speed-up of a pass can bring inside the kill window *)
     let in_flight =
       P.request_to_json ~id:999
         (P.Schedule
            {
-             graph = P.Workload "elliptic-slow3";
+             graph = P.Inline in_flight_graph;
              arch = "mesh:4x4";
-             knobs = { P.default_knobs with P.passes = Some 10_000 };
+             knobs = { P.default_knobs with P.passes = Some 1_000 };
            })
     in
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
