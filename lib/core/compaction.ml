@@ -50,24 +50,32 @@ let c_outcome = function
   | Fell_back -> c_fell_back
   | Stuck -> c_stuck
 
-let pass ?scoring ?order mode sched =
+(* One pass, also returning the set it rotated: the first row of the
+   pass's own normalized schedule. *)
+let rotate_pass ?scoring ?order mode sched =
   Obs.Trace.with_span "compaction.pass" @@ fun () ->
   let sched = Schedule.normalize sched in
   let sched = Schedule.set_length sched (Timing.required_length sched) in
-  let result =
+  let rotated, (next, outcome) =
     match Rotation.start sched with
-    | Error _ -> (sched, Stuck)
-    | Ok rot -> (
-        match Remap.run ?scoring ?order mode rot with
-        | Remap.Remapped next ->
-            (next, classify ~previous:(Schedule.length sched)
-                     ~next:(Schedule.length next) None)
-        | Remap.Fallback next -> (next, Fell_back)
-        | Remap.Stuck -> (sched, Stuck))
+    | Error _ -> (Schedule.first_row sched, (sched, Stuck))
+    | Ok rot ->
+        ( rot.rotated,
+          match Remap.run ?scoring ?order mode rot with
+          | Remap.Remapped next ->
+              ( next,
+                classify ~previous:(Schedule.length sched)
+                  ~next:(Schedule.length next) None )
+          | Remap.Fallback next -> (next, Fell_back)
+          | Remap.Stuck -> (sched, Stuck) )
   in
   Obs.Counters.incr c_passes;
-  Obs.Counters.incr (c_outcome (snd result));
-  result
+  Obs.Counters.incr (c_outcome outcome);
+  (rotated, next, outcome)
+
+let pass ?scoring ?order mode sched =
+  let _, next, outcome = rotate_pass ?scoring ?order mode sched in
+  (next, outcome)
 
 (* A state repeats when both the placement and the (retimed) delay
    distribution repeat.  Hashed structurally (no string building): the
@@ -145,13 +153,10 @@ let advance ?should_stop ~passes st =
     else begin
       let i = st.sp_next in
       let sched = st.sp_sched in
-      let rotated =
-        List.map (Csdfg.label (Schedule.dfg sched))
-          (Schedule.first_row (Schedule.normalize sched))
+      let rotated, next, outcome =
+        rotate_pass ?scoring:st.sp_scoring ?order:st.sp_order st.sp_mode sched
       in
-      let next, outcome =
-        pass ?scoring:st.sp_scoring ?order:st.sp_order st.sp_mode sched
-      in
+      let rotated = List.map (Csdfg.label (Schedule.dfg sched)) rotated in
       if st.sp_validate then Validator.assert_legal next;
       let entry = { pass = i; rotated; length = Schedule.length next; outcome } in
       if Obs.Journal.enabled () then
