@@ -16,7 +16,8 @@ let lower_bound dfg comm =
   in
   max (max resource longest) cyclic
 
-exception Budget
+(* A budget ran out on a shard; carries the root ordinal it was on. *)
+exception Budget of int
 exception Cancelled
 
 (* One shard of the depth-first placement search at one table length.
@@ -124,16 +125,16 @@ let solve ?speeds ?(max_states = 2_000_000) ?max_length ?time_budget
        wall-clock only, never the result. *)
     fun () ->
       incr states;
-      if !states > max_states then raise Budget;
+      if !states > max_states then raise (Budget !current_ord);
       if !states land 1023 = 0 then begin
         if Atomic.get winning < !current_ord then raise Cancelled;
         match deadline with
-        | Some d when Obs.Trace.now_ns () > d -> raise Budget
+        | Some d when Obs.Trace.now_ns () > d -> raise (Budget !current_ord)
         | _ -> ()
       end
   in
   let rec deepen length =
-    if length > ceiling then None
+    if length > ceiling then `Excluded
     else begin
       let winning = Atomic.make max_int in
       let outcomes =
@@ -149,7 +150,7 @@ let solve ?speeds ?(max_states = 2_000_000) ?max_length ?time_budget
                 publish_min winning !current_ord;
                 `Found (!current_ord, sched)
             | None -> `Exhausted
-            | exception Budget -> `Budget
+            | exception Budget o -> `Budget o
             | exception Cancelled -> `Cancelled)
           (List.init shards Fun.id)
       in
@@ -158,24 +159,31 @@ let solve ?speeds ?(max_states = 2_000_000) ?max_length ?time_budget
           (function `Found (o, s) -> Some (o, s) | _ -> None)
           outcomes
       in
-      if List.mem `Budget outcomes then
-        (* A shard that ran out of budget may have skipped the very
-           placement a one-shard scan would have taken. *)
-        raise Budget
-      else
-        match List.sort (fun (a, _) (b, _) -> compare a b) found with
-        | (_, sched) :: _ -> Some (Schedule.set_length sched length)
-        | [] -> deepen (length + 1)
+      let gave_up =
+        List.filter_map (function `Budget o -> Some o | _ -> None) outcomes
+      in
+      (* A shard that ran out of budget below the smallest solved
+         ordinal may have skipped the very placement a one-shard scan
+         would have taken; one that ran out above it cannot change the
+         answer.  Every ordinal below the smallest solved one is
+         explored before any shard can be cancelled, so which budgets
+         run out there does not depend on timing, and neither does
+         this decision. *)
+      match List.sort (fun (a, _) (b, _) -> compare a b) found with
+      | (o, sched) :: _ when List.for_all (fun b -> b > o) gave_up ->
+          `Solved (Schedule.set_length sched length)
+      | [] when gave_up = [] -> deepen (length + 1)
+      | _ -> `Gave_up
     end
   in
   match deepen (lower_bound dfg comm) with
-  | Some sched -> Optimal sched
-  | None ->
+  | `Solved sched -> Optimal sched
+  | `Excluded ->
       (* the startup schedule itself is feasible at [ceiling] when the
          default ceiling is used, so reaching here means an explicit
          max_length excluded every length *)
       Gave_up None
-  | exception Budget ->
+  | `Gave_up ->
       (* best-so-far: the startup schedule is a known-legal answer, but
          only report it when it fits the caller's length ceiling *)
       Gave_up

@@ -147,6 +147,43 @@ let test_optimality_gap_fig1b () =
       (* the heuristic reaches the iteration bound here, so the gap is 0 *)
       check "gap" 0 gap
 
+(* Under a binding state budget a sharded solve must not depend on how
+   its shards are spread over domains: run inline one after another, or
+   racing on two domains where a solved shard cancels the others. *)
+let test_sharded_budget_deterministic () =
+  let outcome = function
+    | Exhaustive.Optimal s -> "optimal " ^ Schedule.signature s
+    | Exhaustive.Gave_up (Some s) -> "gave up " ^ Schedule.signature s
+    | Exhaustive.Gave_up None -> "gave up"
+  in
+  for seed = 1 to 60 do
+    for nodes = 4 to 6 do
+      let params =
+        { Workloads.Random_gen.default with nodes; feedback_edges = 2 }
+      in
+      let g = Workloads.Random_gen.generate_connected ~params ~seed () in
+      List.iter
+        (fun np ->
+          let comm = Cyclo.Comm.of_topology (Topology.complete np) in
+          List.iter
+            (fun max_states ->
+              List.iter
+                (fun shards ->
+                  let solve domains =
+                    outcome
+                      (Exhaustive.solve ~max_states ~shards ~domains g comm)
+                  in
+                  Alcotest.(check string)
+                    (Printf.sprintf
+                       "seed %d, %d nodes, %d PEs, %d states, %d shards" seed
+                       nodes np max_states shards)
+                    (solve 1) (solve 2))
+                [ 2; 3 ])
+            [ 50; 300; 2_000 ])
+        [ 2; 3 ]
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Export                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -462,6 +499,8 @@ let () =
           Alcotest.test_case "startup >= optimal" `Quick
             test_startup_vs_optimal_on_small_graphs;
           Alcotest.test_case "fig1b gap" `Quick test_optimality_gap_fig1b;
+          Alcotest.test_case "sharded budget deterministic" `Quick
+            test_sharded_budget_deterministic;
         ] );
       ( "export",
         [
