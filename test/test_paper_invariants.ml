@@ -80,11 +80,12 @@ let lemma_4_2 =
           | v :: _ ->
               let base = rot.Rotation.base in
               let target = max 1 (rot.Rotation.previous_length - 1) in
+              let preds = (Cyclo.Remap.neighbourhood base v).preds in
               List.for_all
                 (fun pe ->
                   let an =
-                    Timing.earliest_start base ~node:v ~pe
-                      ~target_length:target
+                    Timing.anticipation (Schedule.comm base) ~pe
+                      ~target_length:target preds
                   in
                   let cb =
                     Schedule.first_free_slot base ~pe ~from:an

@@ -216,34 +216,40 @@ let test_zero_delay_violations () =
   let good = schedule_pair ~pe_u:0 ~cb_u:1 ~pe_v:1 ~cb_v:3 in
   check "none" 0 (List.length (Timing.zero_delay_violations good))
 
+(* AN over the node's assigned producers, gathered as the remapper
+   gathers them. *)
+let anticipation s ~node ~pe ~target_length =
+  Timing.anticipation (Schedule.comm s) ~pe ~target_length
+    (Cyclo.Remap.neighbourhood s node).preds
+
 let test_anticipation_zero_delay_pred () =
   (* C's predecessor A on pe1 finishing at 1: AN on pe2 = 1 + 1 + 1 = 3
      (delay 0 ignores the target length). *)
   let s = Schedule.assign (empty ()) ~node:(node "A") ~cb:1 ~pe:0 in
   check "an pe2" 3
-    (Timing.earliest_start s ~node:(node "C") ~pe:1 ~target_length:6);
+    (anticipation s ~node:(node "C") ~pe:1 ~target_length:6);
   check "an same pe" 2
-    (Timing.earliest_start s ~node:(node "C") ~pe:0 ~target_length:6)
+    (anticipation s ~node:(node "C") ~pe:0 ~target_length:6)
 
 let test_anticipation_delayed_pred () =
   (* A's predecessor D (delay 3): huge inter-iteration slack clamps AN
      to 1. *)
   let s = Schedule.assign (empty ()) ~node:(node "D") ~cb:4 ~pe:0 in
   check "clamped" 1
-    (Timing.earliest_start s ~node:(node "A") ~pe:3 ~target_length:6)
+    (anticipation s ~node:(node "A") ~pe:3 ~target_length:6)
 
 let test_anticipation_unassigned_pred_skipped () =
   let s = empty () in
   check "no info -> 1"
     1
-    (Timing.earliest_start s ~node:(node "E") ~pe:0 ~target_length:6)
+    (anticipation s ~node:(node "E") ~pe:0 ~target_length:6)
 
 let test_anticipation_tight_delayed_pred () =
   (* Small target length makes the delayed edge bind: D on pe1 ends 4,
      volume 3 over 2 hops = 6; AN = 6 + 4 + 1 - 3*target. *)
   let s = Schedule.assign (empty ()) ~node:(node "D") ~cb:4 ~pe:0 in
   check "binding" 2
-    (Timing.earliest_start s ~node:(node "A") ~pe:2 ~target_length:3)
+    (anticipation s ~node:(node "A") ~pe:2 ~target_length:3)
 
 let () =
   Alcotest.run "schedule"
