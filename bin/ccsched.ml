@@ -42,7 +42,11 @@ let parse_scale_spec spec =
       | _ -> die 2 (Printf.sprintf "bad scale spec %S" spec))
   | _ -> None
 
-let load_graph spec =
+(* A graph read from a file is checked once, here: an illegal one is
+   malformed input, like one that does not parse.  Suite loops and
+   scale:N graphs are legal by construction.  [show] lists every problem
+   itself before it exits, so it reads the file unchecked. *)
+let load_graph ?(check = true) spec =
   match parse_scale_spec spec with
   | Some g -> g
   | None ->
@@ -51,8 +55,12 @@ let load_graph spec =
   | None ->
       if Sys.file_exists spec then
         match Dataflow.Io.read_file ~path:spec with
-        | Ok g -> g
         | Error e -> die 3 (spec ^ ": " ^ Dataflow.Io.error_to_string e)
+        | Ok g when not check -> g
+        | Ok g -> (
+            match Dataflow.Csdfg.check g with
+            | Ok () -> g
+            | Error msg -> die 3 (spec ^ ": " ^ msg))
       else
         die 2
           (Printf.sprintf
@@ -152,8 +160,8 @@ let knobs_term ?(mode = false) ?(passes = false) ?(speeds = false)
 let or_die = function Ok v -> v | Error msg -> die 2 msg
 
 (* The graph as the search sees it, after the knobs' range checks. *)
-let load spec knobs =
-  let g = load_graph spec in
+let load ?check spec knobs =
+  let g = load_graph ?check spec in
   or_die (Knobs.validate knobs);
   Knobs.slowed knobs g
 
@@ -256,7 +264,7 @@ let list_cmd =
 
 let show_cmd =
   let run spec knobs =
-    let g = load spec knobs in
+    let g = load ~check:false spec knobs in
     Fmt.pr "%a@.@." Dataflow.Csdfg.pp g;
     (match Dataflow.Csdfg.validate g with
     | Ok () -> Fmt.pr "legality: ok@."
@@ -264,7 +272,10 @@ let show_cmd =
         Fmt.pr "legality problems:@.";
         List.iter
           (fun p -> Fmt.pr "  %a@." (Dataflow.Csdfg.pp_violation g) p)
-          problems);
+          problems;
+        (* the bounds below assume a legal graph *)
+        Result.iter_error (fun msg -> die 3 (spec ^ ": " ^ msg))
+          (Dataflow.Csdfg.check g));
     (match Dataflow.Iteration_bound.exact_ceil g with
     | Some b -> Fmt.pr "iteration bound: %d@." b
     | None -> Fmt.pr "iteration bound: none (acyclic)@.");
@@ -1279,7 +1290,7 @@ let client_cmd =
       (match graph with
       | Some spec ->
           let graph_spec =
-            if Workloads.Suite.find spec <> None then
+            if List.mem spec (Workloads.Suite.names ()) then
               Service.Protocol.Workload spec
             else if Sys.file_exists spec then
               match

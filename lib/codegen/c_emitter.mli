@@ -27,5 +27,3 @@ val emit : ?iterations:int -> Cyclo.Schedule.t -> string
 (** [iterations] defaults to 64.
     @raise Invalid_argument when the schedule is incomplete or
     [iterations < 1]. *)
-
-val write : path:string -> ?iterations:int -> Cyclo.Schedule.t -> unit

@@ -58,5 +58,3 @@ let rotation_oblivious ?mode ?passes dfg topo =
   let zero = Comm.zero ~n:(Topology.n_processors topo) ~name:"zero-comm" in
   let result = Compaction.run ?mode ?passes dfg zero in
   repair result.Compaction.best (Comm.of_topology topo)
-
-let sequential_length = Csdfg.total_time

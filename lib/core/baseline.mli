@@ -27,6 +27,3 @@ val rotation_oblivious :
   Schedule.t
 (** Chao–LaPaugh–Sha rotation scheduling: full cyclo-compaction run under
     zero communication, best schedule repaired for the topology. *)
-
-val sequential_length : Dataflow.Csdfg.t -> int
-(** One processor, no communication: the sum of computation times. *)

@@ -129,8 +129,6 @@ let stepper ?(mode = Remap.With_relaxation) ?scoring ?order ~budget
     sp_done = false;
   }
 
-let best_length st = Schedule.length st.sp_best
-let best_schedule st = st.sp_best
 let passes_run st = st.sp_next - 1
 
 let advance ?should_stop ~passes st =

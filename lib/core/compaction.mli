@@ -144,12 +144,6 @@ val stepper_result : stepper -> result
     repeated state rather than budget/[should_stop]).  Also publishes
     the best length to the [compaction.best_length] gauge. *)
 
-val best_length : stepper -> int
-(** Length of the stepper's best-so-far schedule. *)
-
-val best_schedule : stepper -> Schedule.t
-(** The best-so-far schedule itself. *)
-
 val passes_run : stepper -> int
 (** Passes executed so far. *)
 

@@ -218,20 +218,3 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
             migration_cost;
           }
       end
-
-let pp ppf plan =
-  let dfg = Schedule.dfg plan.schedule in
-  Format.fprintf ppf "@[<v>degraded plan (%s): %d -> %d processors@,"
-    (match plan.strategy with Patched -> "patched" | Rebuilt -> "rebuilt")
-    (Array.length plan.of_original)
-    (Array.length plan.surviving);
-  Format.fprintf ppf "degraded table length: %d@,"
-    (Schedule.length plan.schedule);
-  Format.fprintf ppf "moved %d node(s), migration cost %d@,"
-    (List.length plan.moved) plan.migration_cost;
-  List.iter
-    (fun (v, old_pe, new_pe) ->
-      Format.fprintf ppf "  %s: pe%d -> pe%d@," (Csdfg.label dfg v)
-        (old_pe + 1) (new_pe + 1))
-    plan.moved;
-  Format.fprintf ppf "@]"

@@ -81,5 +81,3 @@ val deadline_error : string
 val migration_volume : Schedule.t -> int -> int
 (** The state that moves with a node: the tokens held on its delayed
     in-edges ([sum of volume * delay]), at least 1 (code/context). *)
-
-val pp : Format.formatter -> plan -> unit

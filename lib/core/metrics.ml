@@ -21,14 +21,6 @@ let speedup_vs_sequential sched =
   if len = 0 then 0.
   else float_of_int (Csdfg.total_time (Schedule.dfg sched)) /. float_of_int len
 
-let idle_steps sched =
-  (Schedule.length sched * Schedule.n_processors sched) - busy_steps sched
-
-let bound_gap sched =
-  match Dataflow.Iteration_bound.exact_ceil (Schedule.dfg sched) with
-  | None -> None
-  | Some b -> Some (Schedule.length sched - b)
-
 let comm_cost_per_iteration sched =
   List.fold_left
     (fun acc e ->

@@ -9,12 +9,6 @@ val speedup_vs_sequential : Schedule.t -> float
 (** [total computation time / schedule length] — iteration throughput
     gain over a single processor. *)
 
-val idle_steps : Schedule.t -> int
-
-val bound_gap : Schedule.t -> int option
-(** [length - iteration bound] (ceiling); [None] for acyclic graphs.
-    0 means the schedule is rate-optimal. *)
-
 val improvement : before:Schedule.t -> after:Schedule.t -> float
 (** Relative length reduction in percent. *)
 

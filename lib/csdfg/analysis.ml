@@ -40,16 +40,3 @@ let compute g =
   | None -> invalid_arg "Analysis.compute: zero-delay subgraph is cyclic"
 
 let mobility t v = t.alap.(v) - t.asap.(v)
-let is_critical t v = mobility t v = 0
-
-let critical_nodes t =
-  List.filter (is_critical t) (List.init (Array.length t.asap) Fun.id)
-
-let pp g ppf t =
-  Fmt.pf ppf "@[<v>critical path: %d@," t.critical_path;
-  Array.iteri
-    (fun v a ->
-      Fmt.pf ppf "%-4s asap=%-3d alap=%-3d mobility=%d@," (Csdfg.label g v) a
-        t.alap.(v) (mobility t v))
-    t.asap;
-  Fmt.pf ppf "@]"

@@ -24,9 +24,3 @@ val of_dag :
 
 val mobility : t -> int -> int
 (** [alap - asap >= 0]; 0 on critical nodes. *)
-
-val is_critical : t -> int -> bool
-
-val critical_nodes : t -> int list
-
-val pp : Csdfg.t -> Format.formatter -> t -> unit

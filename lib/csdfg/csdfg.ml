@@ -110,6 +110,8 @@ let pp_violation t ppf = function
   | Negative_delay (u, v) ->
       Fmt.pf ppf "edge %s -> %s has negative delay" (label t u) (label t v)
 
+let zero_delay_graph t = G.filter_edges (fun e -> e.G.label.delay = 0) t.graph
+
 let validate t =
   let problems = ref [] in
   Array.iteri (fun v tm -> if tm <= 0 then problems := Bad_time v :: !problems)
@@ -123,18 +125,19 @@ let validate t =
     t.graph;
   (* Every cycle must carry positive total delay.  Delays are
      non-negative, so it suffices that the zero-delay subgraph is acyclic;
-     report an offending cycle when it is not. *)
-  let zero = G.filter_edges (fun e -> e.G.label.delay = 0) t.graph in
-  if not (Digraph.Topo.is_dag zero) then begin
-    match Digraph.Cycles.elementary ~max_cycles:1 zero with
-    | cyc :: _ -> problems := Zero_delay_cycle cyc :: !problems
-    | [] -> ()
-  end;
+     the one pass that checks it names an offending cycle when it is not. *)
+  Option.iter
+    (fun cyc -> problems := Zero_delay_cycle cyc :: !problems)
+    (Digraph.Topo.find_cycle (zero_delay_graph t));
   match List.rev !problems with [] -> Ok () | l -> Error l
 
-let is_legal t = validate t = Ok ()
+let check t =
+  match validate t with
+  | Ok () | Error [] -> Ok ()
+  | Error (v :: _) ->
+      Error (Fmt.str "illegal CSDFG: %a" (pp_violation t) v)
 
-let zero_delay_graph t = G.filter_edges (fun e -> e.G.label.delay = 0) t.graph
+let is_legal t = validate t = Ok ()
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>CSDFG %s: %d nodes, %d edges" t.name (n_nodes t) (n_edges t);

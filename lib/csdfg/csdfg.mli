@@ -57,7 +57,9 @@ val max_time : t -> int
 (** {1 Validation} *)
 
 type violation =
-  | Zero_delay_cycle of int list  (** cycle whose total delay is <= 0 *)
+  | Zero_delay_cycle of int list
+      (** a cycle whose total delay is 0, as its nodes in edge order from
+          its smallest node *)
   | Bad_time of int  (** node with non-positive computation time *)
   | Bad_volume of int * int  (** edge endpoints with non-positive volume *)
   | Negative_delay of int * int  (** edge endpoints with negative delay *)
@@ -66,7 +68,13 @@ val pp_violation : t -> Format.formatter -> violation -> unit
 
 val validate : t -> (unit, violation list) result
 (** A CSDFG is legal when every cycle carries strictly positive delay and
-    all weights are in range. *)
+    all weights are in range.  One O(n + m) pass over the zero-delay
+    subgraph checks the cycles and names one offending cycle
+    ({!Digraph.Topo.find_cycle}). *)
+
+val check : t -> (unit, string) result
+(** {!validate}, with its first problem as ["illegal CSDFG: ..."]: the
+    message of the daemon's [bad_graph] reply and of the CLI. *)
 
 val is_legal : t -> bool
 

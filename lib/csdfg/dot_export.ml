@@ -7,8 +7,3 @@ let to_dot g =
   Digraph.Dot.to_dot ~name:(Csdfg.name g)
     ~node_label:(fun v -> Printf.sprintf "%s (%d)" (Csdfg.label g v) (Csdfg.time g v))
     ~edge_label (Csdfg.graph g)
-
-let write_file ~path g =
-  Digraph.Dot.write_file ~path ~name:(Csdfg.name g)
-    ~node_label:(fun v -> Printf.sprintf "%s (%d)" (Csdfg.label g v) (Csdfg.time g v))
-    ~edge_label (Csdfg.graph g)

@@ -2,5 +2,3 @@
     edge labels show delay bars and data volumes (paper Figure 1 style). *)
 
 val to_dot : Csdfg.t -> string
-
-val write_file : path:string -> Csdfg.t -> unit

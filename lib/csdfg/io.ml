@@ -86,12 +86,6 @@ let of_string_exn text =
   | Ok g -> g
   | Error e -> invalid_arg ("Csdfg.Io.of_string_exn: " ^ error_to_string e)
 
-let write_file ~path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string g))
-
 let read_file ~path =
   match
     let ic = open_in path in

@@ -23,8 +23,6 @@ val of_string : string -> (Csdfg.t, error) result
 val of_string_exn : string -> Csdfg.t
 (** @raise Invalid_argument on parse errors. *)
 
-val write_file : path:string -> Csdfg.t -> unit
-
 val read_file : path:string -> (Csdfg.t, error) result
 (** I/O failures (missing file, permissions) surface as an [error]
     with [line = None], never an exception. *)

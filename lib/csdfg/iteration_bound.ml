@@ -11,16 +11,10 @@ let exact_ceil g =
   | None -> None
   | Some (t, d) -> Some ((t + d - 1) / d)
 
-(* The search's witness, rotated to start at its smallest node like
-   [Digraph.Cycles.elementary]'s cycles. *)
+(* The search's witness, rotated to start at its smallest node like the
+   zero-delay cycle [Csdfg.validate] names. *)
 let critical_cycle g =
   Digraph.Karp.critical_cycle (Csdfg.graph g) ~num:(num g) ~den
   |> Option.map (fun (_, edges) ->
-         let nodes = List.map (fun e -> e.Digraph.Graph.src) edges in
-         let first = List.fold_left min max_int nodes in
-         let rec rotate before = function
-           | v :: rest when v = first -> (v :: rest) @ List.rev before
-           | v :: rest -> rotate (v :: before) rest
-           | [] -> List.rev before
-         in
-         rotate [] nodes)
+         Digraph.Topo.rotate_to_smallest
+           (List.map (fun e -> e.Digraph.Graph.src) edges))

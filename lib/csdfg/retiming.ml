@@ -26,15 +26,6 @@ let apply g r =
     ~time:(Array.init (Csdfg.n_nodes g) (Csdfg.time g))
     graph
 
-let compose a b = Array.mapi (fun i x -> x + b.(i)) a
-
-let normalize r =
-  if Array.length r = 0 then r
-  else begin
-    let lo = Array.fold_left min r.(0) r in
-    Array.map (fun x -> x - lo) r
-  end
-
 let clock_period g =
   (match Csdfg.validate g with
   | Ok () -> ()

@@ -27,12 +27,6 @@ val apply : Csdfg.t -> r -> Csdfg.t
 (** Rebuild the CSDFG with retimed delays, edge order kept.
     @raise Invalid_argument when the retiming is illegal. *)
 
-val compose : r -> r -> r
-(** Pointwise sum: applying [compose a b] equals applying [a] then [b]. *)
-
-val normalize : r -> r
-(** Shift so the minimum component is 0 (does not change edge delays). *)
-
 (** {1 Clock-period minimisation (Leiserson–Saxe OPT)}
 
     Not used by cyclo-compaction itself, but the classical result the

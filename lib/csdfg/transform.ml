@@ -19,15 +19,6 @@ let scale_volumes g k =
     ~name:(Printf.sprintf "%s-vol%d" (Csdfg.name g) k)
     ~f:(fun a -> { a with Csdfg.volume = a.Csdfg.volume * k })
 
-let scale_times g k =
-  if k <= 0 then invalid_arg "Transform.scale_times: factor must be positive";
-  let graph = Csdfg.graph g in
-  Csdfg.of_graph
-    ~name:(Printf.sprintf "%s-time%d" (Csdfg.name g) k)
-    ~labels:(Array.init (Csdfg.n_nodes g) (Csdfg.label g))
-    ~time:(Array.init (Csdfg.n_nodes g) (fun v -> k * Csdfg.time g v))
-    graph
-
 let unfold g f =
   if f <= 0 then invalid_arg "Transform.unfold: factor must be positive";
   let n = Csdfg.n_nodes g in
@@ -84,10 +75,3 @@ let disjoint_union a b =
     ~name:(Csdfg.name a ^ "+" ^ Csdfg.name b)
     ~labels ~time
     (G.create ~n:(na + nb) edges)
-
-let reverse g =
-  Csdfg.of_graph
-    ~name:(Csdfg.name g ^ "-rev")
-    ~labels:(Array.init (Csdfg.n_nodes g) (Csdfg.label g))
-    ~time:(Array.init (Csdfg.n_nodes g) (Csdfg.time g))
-    (G.transpose (Csdfg.graph g))

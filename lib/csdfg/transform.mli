@@ -16,13 +16,6 @@ val scale_volumes : Csdfg.t -> int -> Csdfg.t
 (** Multiply every edge's data volume (models wider payloads).
     @raise Invalid_argument if the factor is [<= 0]. *)
 
-val scale_times : Csdfg.t -> int -> Csdfg.t
-(** Multiply every node's computation time.
-    @raise Invalid_argument if the factor is [<= 0]. *)
-
 val disjoint_union : Csdfg.t -> Csdfg.t -> Csdfg.t
 (** Side-by-side composition; labels are prefixed with ["l:"] and ["r:"]
     when they collide. *)
-
-val reverse : Csdfg.t -> Csdfg.t
-(** Flip every edge (delays and volumes kept) — useful for tests. *)

@@ -32,9 +32,3 @@ let to_dot ?(name = "g") ?node_label ?edge_label g =
     g;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file ~path ?name ?node_label ?edge_label g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?name ?node_label ?edge_label g))

@@ -8,11 +8,3 @@ val to_dot :
   string
 (** Render a graph in DOT syntax.  Default node labels are the node ids;
     default edge labels are empty. *)
-
-val write_file :
-  path:string ->
-  ?name:string ->
-  ?node_label:(int -> string) ->
-  ?edge_label:('e Graph.edge -> string) ->
-  'e Graph.t ->
-  unit

@@ -41,11 +41,6 @@ let create ~n edges =
     (List.rev edges);
   { g with m; all = edges }
 
-let add_edge g ~src ~dst label =
-  check_node g src "add_edge";
-  check_node g dst "add_edge";
-  create ~n:g.n (g.all @ [ { src; dst; label } ])
-
 let edges g = g.all
 
 let succ g v =
@@ -56,41 +51,11 @@ let pred g v =
   check_node g v "pred";
   g.in_adj.(v)
 
-let distinct_sorted l = List.sort_uniq compare l
-let succ_nodes g v = distinct_sorted (List.map (fun e -> e.dst) (succ g v))
-let pred_nodes g v = distinct_sorted (List.map (fun e -> e.src) (pred g v))
 let out_degree g v = List.length (succ g v)
 let in_degree g v = List.length (pred g v)
-let find_edges g ~src ~dst = List.filter (fun e -> e.dst = dst) (succ g src)
-let mem_edge g ~src ~dst = find_edges g ~src ~dst <> []
 
 let map_labels f g =
   create ~n:g.n (List.map (fun e -> { e with label = f e }) g.all)
 
 let filter_edges keep g = create ~n:g.n (List.filter keep g.all)
-let fold_edges f init g = List.fold_left f init g.all
 let iter_edges f g = List.iter f g.all
-
-let transpose g =
-  create ~n:g.n
-    (List.map (fun e -> { src = e.dst; dst = e.src; label = e.label }) g.all)
-
-let self_loops g = List.filter (fun e -> e.src = e.dst) g.all
-
-let equal eq_label a b =
-  let key e = (e.src, e.dst) in
-  let sort es =
-    List.stable_sort (fun x y -> compare (key x) (key y)) es
-  in
-  n_nodes a = n_nodes b
-  && n_edges a = n_edges b
-  && List.for_all2
-       (fun x y -> key x = key y && eq_label x.label y.label)
-       (sort (edges a)) (sort (edges b))
-
-let pp pp_label ppf g =
-  Fmt.pf ppf "@[<v>graph: %d nodes, %d edges" g.n g.m;
-  iter_edges
-    (fun e -> Fmt.pf ppf "@,  %d -> %d [%a]" e.src e.dst pp_label e.label)
-    g;
-  Fmt.pf ppf "@]"

@@ -8,9 +8,9 @@
     Costs, for [n] nodes and [m] edges: each node's out- and in-edges and
     the list of all edges are stored once, in insertion order, so
     {!succ}, {!pred} and {!edges} are O(1) and allocate nothing, and
-    {!iter_edges} and {!fold_edges} walk the stored list without copying
-    it.  {!create} and every update ({!add_edge}, {!map_labels},
-    {!filter_edges}, {!transpose}) rebuild, in O(n + m). *)
+    {!iter_edges} walks the stored list without copying it.  {!create}
+    and every update ({!map_labels}, {!filter_edges}) rebuild, in
+    O(n + m). *)
 
 type 'e edge = {
   src : int;  (** source node *)
@@ -35,11 +35,6 @@ val n_edges : 'e t -> int
 val nodes : 'e t -> int list
 (** [nodes g] is [0; 1; ...; n-1]. *)
 
-val add_edge : 'e t -> src:int -> dst:int -> 'e -> 'e t
-(** Appends one edge.  A rebuild, O(n + m): a graph of many edges is built
-    with one {!create}, not a chain of [add_edge].
-    @raise Invalid_argument if an endpoint is out of range. *)
-
 val edges : 'e t -> 'e edge list
 (** All edges in insertion order: the stored list, O(1). *)
 
@@ -51,19 +46,8 @@ val pred : 'e t -> int -> 'e edge list
 (** Incoming edges of a node, in insertion order: the stored list, O(1).
     @raise Invalid_argument if the node is out of range. *)
 
-val succ_nodes : 'e t -> int -> int list
-(** Distinct successor nodes, ascending. *)
-
-val pred_nodes : 'e t -> int -> int list
-(** Distinct predecessor nodes, ascending. *)
-
 val out_degree : 'e t -> int -> int
 val in_degree : 'e t -> int -> int
-
-val mem_edge : 'e t -> src:int -> dst:int -> bool
-(** Whether at least one edge links [src] to [dst]. *)
-
-val find_edges : 'e t -> src:int -> dst:int -> 'e edge list
 
 val map_labels : ('e edge -> 'f) -> 'e t -> 'f t
 (** Rebuild the graph applying a function to every edge. *)
@@ -71,16 +55,4 @@ val map_labels : ('e edge -> 'f) -> 'e t -> 'f t
 val filter_edges : ('e edge -> bool) -> 'e t -> 'e t
 (** Keep only edges satisfying the predicate (same node set). *)
 
-val fold_edges : ('a -> 'e edge -> 'a) -> 'a -> 'e t -> 'a
 val iter_edges : ('e edge -> unit) -> 'e t -> unit
-
-val transpose : 'e t -> 'e t
-(** Reverse every edge. *)
-
-val self_loops : 'e t -> 'e edge list
-
-val equal : ('e -> 'e -> bool) -> 'e t -> 'e t -> bool
-(** Structural equality: same node count and same multiset of edges
-    (compared as sorted lists of [(src, dst, label)]). *)
-
-val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit

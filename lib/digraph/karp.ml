@@ -82,7 +82,7 @@ let critical_cycle g ~num ~den =
   match positive_cycle ~p:floor ~q:1 with
   | Some cycle -> Some (raise_bound cycle)
   | None ->
-      if Cycles.has_cycle g then
+      if not (Topo.is_dag g) then
         invalid_arg
           "Digraph.Karp.maximum_cycle_ratio: non-positive cycle denominator";
       None

@@ -22,7 +22,9 @@ val maximum_cycle_ratio :
     to 9 sweeps in all.
     @raise Invalid_argument when the search meets a cycle whose
     denominator sum is <= 0 — with positive numerators (node times, as
-    for the iteration bound) every such cycle is met. *)
+    for the iteration bound) every such cycle is met — and when no cycle
+    beats even the lowest ratio yet one linear {!Topo.is_dag} pass finds
+    a cycle. *)
 
 val critical_cycle :
   'e Graph.t ->

@@ -8,12 +8,20 @@ val sort : 'e Graph.t -> int list option
 val sort_exn : 'e Graph.t -> int list
 (** @raise Invalid_argument when the graph has a cycle. *)
 
-val is_dag : 'e Graph.t -> bool
+val find_cycle : 'e Graph.t -> int list option
+(** [None] when the graph is acyclic; otherwise one elementary cycle as
+    its nodes in edge order (each node has an edge to the next, the last
+    to the first), starting at its smallest node.  A self-loop is a
+    one-node cycle.  One pass, O(n + m): Kahn's pass, then a walk back
+    from the smallest node it could not order, through the first such
+    predecessor of each node, until a node repeats. *)
 
-val layers : 'e Graph.t -> int list list option
-(** Partition of an acyclic graph into ASAP layers: layer 0 holds the
-    roots, layer [k+1] the nodes whose predecessors all sit in layers
-    [<= k].  [None] when cyclic. *)
+val rotate_to_smallest : int list -> int list
+(** A cycle's nodes, in the same cyclic order, starting at its smallest
+    node: how {!find_cycle} returns a cycle. *)
+
+val is_dag : 'e Graph.t -> bool
+(** [find_cycle g = None]. *)
 
 val longest_path_nodes : 'e Graph.t -> weight:(int -> int) -> int
 (** Longest node-weighted path in a DAG (sum of [weight v] over the

@@ -221,71 +221,3 @@ let to_jsonl evs =
   Buffer.add_char buf '\n';
   List.iter (add_line buf) evs;
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Pretty printing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let default_label v = "n" ^ string_of_int v
-
-let pp_event ?(label = default_label) ppf = function
-  | Instance_start { t; node; iter; pe } ->
-      Format.fprintf ppf "t=%d start %s#%d on pe%d" t (label node) iter (pe + 1)
-  | Instance_finish { t; node; iter; pe } ->
-      Format.fprintf ppf "t=%d finish %s#%d on pe%d" t (label node) iter
-        (pe + 1)
-  | Msg_send { t; msg; src; dst; src_iter; dst_iter; from_pe; to_pe; volume }
-    ->
-      Format.fprintf ppf "t=%d send m%d %s#%d -> %s#%d (pe%d -> pe%d, vol %d)"
-        t msg (label src) src_iter (label dst) dst_iter (from_pe + 1)
-        (to_pe + 1) volume
-  | Msg_hop { t; msg; link = a, b; busy } ->
-      Format.fprintf ppf "t=%d hop m%d over pe%d -> pe%d (busy %d)" t msg
-        (a + 1) (b + 1) busy
-  | Msg_deliver { t; msg; node; iter; latency } ->
-      Format.fprintf ppf "t=%d deliver m%d to %s#%d (latency %d)" t msg
-        (label node) iter latency
-  | Stall { t; node; iter; pe; wait; cause } -> (
-      match cause with
-      | Input_wait { src; msg; _ } ->
-          Format.fprintf ppf
-            "t=%d stall %s#%d on pe%d: waited on %s (%s), slip %d" t
-            (label node) iter (pe + 1) (label src)
-            (if msg < 0 then "local" else Printf.sprintf "m%d" msg)
-            wait
-      | Link_busy { link = a, b; msg } ->
-          Format.fprintf ppf
-            "t=%d stall m%d for %s#%d: link pe%d -> pe%d busy for %d" t msg
-            (label node) iter (a + 1) (b + 1) wait
-      | Pe_busy ->
-          Format.fprintf ppf
-            "t=%d stall %s#%d on pe%d: processor busy, slip %d" t (label node)
-            iter (pe + 1) wait
-      | Link_down { link = a, b; msg } ->
-          Format.fprintf ppf
-            "t=%d stall m%d for %s#%d: link pe%d -- pe%d down for %d" t msg
-            (label node) iter (a + 1) (b + 1) wait)
-  | Msg_retry { t; msg; link = a, b; attempt; backoff } ->
-      Format.fprintf ppf
-        "t=%d retry m%d on pe%d -> pe%d (attempt %d, backoff %d)" t msg (a + 1)
-        (b + 1) attempt backoff
-  | Msg_dropped { t; msg; link = a, b; attempts } ->
-      Format.fprintf ppf "t=%d drop m%d on pe%d -> pe%d after %d attempts" t
-        msg (a + 1) (b + 1) attempts
-  | Pe_fail { t; pe } ->
-      Format.fprintf ppf "t=%d FAIL pe%d (fail-stop)" t (pe + 1)
-  | Link_fail { t; link = a, b; until } -> (
-      match until with
-      | None -> Format.fprintf ppf "t=%d FAIL link pe%d -- pe%d" t (a + 1) (b + 1)
-      | Some u ->
-          Format.fprintf ppf "t=%d link pe%d -- pe%d down until %d" t (a + 1)
-            (b + 1) u)
-  | Degraded { t; survivors; moved; migration_cost; length } ->
-      Format.fprintf ppf
-        "t=%d DEGRADED: resume on %d pes (%s), %d nodes moved, migration \
-         cost %d, table length %d"
-        t
-        (List.length survivors)
-        (String.concat " "
-           (List.map (fun p -> "pe" ^ string_of_int (p + 1)) survivors))
-        moved migration_cost length

@@ -134,7 +134,3 @@ val to_jsonl : event list -> string
     are emitted in {!by_time} order.  Schema /2 extends /1 with the
     fault-run kinds and the [link_down] stall cause; fault-free streams
     differ from /1 only in the header. *)
-
-val pp_event :
-  ?label:(int -> string) -> Format.formatter -> event -> unit
-(** One-line rendering; [label] maps node ids to names. *)

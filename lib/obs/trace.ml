@@ -88,17 +88,3 @@ let aggregate () =
     (spans ());
   Hashtbl.fold (fun name cell acc -> (name, fst !cell, snd !cell) :: acc) table []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
-let pp_summary ppf () =
-  let rows = aggregate () in
-  if rows = [] then Format.fprintf ppf "no spans recorded@."
-  else begin
-    Format.fprintf ppf "%-28s %8s %12s %12s@." "span" "count" "total ms"
-      "mean us";
-    List.iter
-      (fun (name, count, total_ns) ->
-        Format.fprintf ppf "%-28s %8d %12.3f %12.1f@." name count
-          (float_of_int total_ns /. 1e6)
-          (float_of_int total_ns /. 1e3 /. float_of_int count))
-      rows
-  end

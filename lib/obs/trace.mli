@@ -80,7 +80,3 @@ val aggregate : unit -> (string * int * int) list
     sorted by name.  Nested spans are {e not} subtracted from their
     parents; each name's total is the sum of its own durations.
     {!Resource.aggregate} rolls up the allocation the same way. *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Human-readable table of {!aggregate}: one line per span name with
-    count, total and mean wall-clock time. *)

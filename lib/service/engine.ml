@@ -40,8 +40,8 @@ type entry = {
 type t = {
   cache : entry Lru.t;
   suite : (string, Csdfg.t) Hashtbl.t;
-      (* built-in workloads, constructed and validated once — Suite.find
-         rebuilds every graph per call, far too slow for the hit path *)
+      (* the built-in workloads served so far, each built and validated
+         on its first lookup and then read from here on the hit path *)
   statefile : Statefile.t option;
   default_deadline_ms : int option;
   created : float;  (* Unix.gettimeofday at create, for health uptime *)
@@ -57,10 +57,6 @@ let build_id = "ccsched/1.0.0"
 
 let create ?(capacity = 256) ?default_deadline_ms ?state_dir () =
   let suite = Hashtbl.create 32 in
-  List.iter
-    (fun (name, g) ->
-      if Result.is_ok (Csdfg.validate g) then Hashtbl.replace suite name g)
-    (Workloads.Suite.all ());
   let cache = Lru.create ~capacity in
   let statefile =
     match state_dir with
@@ -197,24 +193,24 @@ let resolve t ~graph ~arch (knobs : P.knobs) =
     | P.Workload name -> (
         match Hashtbl.find_opt t.suite name with
         | Some g -> Ok g
-        | None ->
-            Error
-              (err "bad_request" "unknown workload %S (see `ccsched list`)"
-                 name))
-    | P.Inline text -> (
+        | None -> (
+            match Workloads.Suite.find name with
+            | Some g when Csdfg.is_legal g ->
+                Hashtbl.replace t.suite name g;
+                Ok g
+            | _ ->
+                Error
+                  (err "bad_request" "unknown workload %S (see `ccsched list`)"
+                     name)))
+    | P.Inline text ->
         let* g =
           match Dataflow.Io.of_string text with
           | Ok g -> Ok g
           | Error e ->
               Error (err "bad_graph" "%s" (Dataflow.Io.error_to_string e))
         in
-        match Csdfg.validate g with
-        | Ok () -> Ok g
-        | Error (v :: _) ->
-            Error
-              (err "bad_graph" "illegal CSDFG: %s"
-                 (Fmt.str "%a" (Csdfg.pp_violation g) v))
-        | Error [] -> Ok g)
+        let* () = Result.map_error (err "bad_graph" "%s") (Csdfg.check g) in
+        Ok g
   in
   let* topo =
     match Topology.of_spec arch with

@@ -4,5 +4,6 @@ val all : unit -> (string * Dataflow.Csdfg.t) list
 (** Name/graph pairs, names unique. *)
 
 val find : string -> Dataflow.Csdfg.t option
+(** Builds the one graph named, not the others. *)
 
 val names : unit -> string list

@@ -35,7 +35,8 @@ let end_to_end name sched =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
-        Codegen.C_emitter.write ~path ~iterations:48 sched;
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Codegen.C_emitter.emit ~iterations:48 sched));
         let compile_rc, run_rc = compile_and_run path in
         check (name ^ ": compiles under -Werror") 0 compile_rc;
         check (name ^ ": self-check passes") 0 run_rc)

@@ -289,9 +289,6 @@ let test_cyclo_beats_or_ties_rotation_oblivious_fig7 () =
   check_bool "cyclo <= repaired oblivious rotation" true
     (Schedule.length ours.Compaction.best <= Schedule.length oblivious)
 
-let test_sequential_length () =
-  check "fig1b" 8 (Baseline.sequential_length fig1b)
-
 (* Sixteen passes on a 2000-node loop, pinned by the MD5 of the
    schedule signatures: retiming only the rotated row's edges, shifting
    rows by an offset and the one-pass validator must not move a
@@ -375,6 +372,5 @@ let () =
             test_rotation_oblivious_baseline_legal;
           Alcotest.test_case "cyclo vs oblivious rotation" `Quick
             test_cyclo_beats_or_ties_rotation_oblivious_fig7;
-          Alcotest.test_case "sequential" `Quick test_sequential_length;
         ] );
     ]

@@ -57,7 +57,6 @@ let test_fig7_hand_computed () =
   (* total computation 24 over 13 steps x 8 processors = 104 cells *)
   Alcotest.check feps "utilization 24/104" (24. /. 104.)
     (Metrics.utilization s);
-  Alcotest.(check int) "idle steps 104 - 24" 80 (Metrics.idle_steps s);
   Alcotest.(check int) "4 processors used" 4 (Metrics.processors_used s);
   Alcotest.check feps "speedup 24/13" (24. /. 13.)
     (Metrics.speedup_vs_sequential s);
@@ -68,8 +67,9 @@ let test_fig7_hand_computed () =
     (Metrics.comm_cost_per_iteration s);
   Alcotest.check feps "comm ratio 8/24" (8. /. 24.) (Metrics.comm_ratio s);
   (* iteration bound: critical cycle A B H G I K N O P S over S->A's
-     3 delays: ceil(11/3) = 4; gap = 13 - 4 *)
-  Alcotest.(check (option int)) "bound gap 9" (Some 9) (Metrics.bound_gap s)
+     3 delays: ceil(11/3) = 4 *)
+  Alcotest.(check (option int)) "iteration bound 4" (Some 4)
+    (Dataflow.Iteration_bound.exact_ceil (fig7 ()))
 
 (* A two-node chain placed by hand on a 2-processor machine: every
    metric is small enough to read off directly. *)
@@ -89,12 +89,12 @@ let test_tiny_hand_computed () =
   in
   let s = Schedule.set_length s 3 in
   Alcotest.check feps "utilization 2/6" (2. /. 6.) (Metrics.utilization s);
-  Alcotest.(check int) "idle 4" 4 (Metrics.idle_steps s);
   Alcotest.(check int) "both processors used" 2 (Metrics.processors_used s);
   Alcotest.(check int) "one cross edge" 1 (Metrics.cross_edges s);
   Alcotest.(check int) "comm cost 1" 1 (Metrics.comm_cost_per_iteration s);
   Alcotest.check feps "comm ratio 1/2" 0.5 (Metrics.comm_ratio s);
-  Alcotest.(check (option int)) "acyclic: no bound" None (Metrics.bound_gap s);
+  Alcotest.(check (option int)) "acyclic: no bound" None
+    (Dataflow.Iteration_bound.exact_ceil g);
   let shorter = Schedule.set_length s 3 in
   Alcotest.check feps "improvement 0 vs itself" 0.
     (Metrics.improvement ~before:s ~after:shorter)

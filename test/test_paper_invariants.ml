@@ -181,8 +181,9 @@ let retiming_composition =
         end
       in
       let s = spin (Startup.run_on g (arch_of_seed seed)) 4 in
+      let lowest = Array.fold_left min max_int expected in
       (Cyclo.Pipeline.build s).Cyclo.Pipeline.retiming
-      = Retiming.normalize expected)
+      = Array.map (fun r -> r - lowest) expected)
 
 (* --- the io layer never crashes on junk ------------------------------- *)
 

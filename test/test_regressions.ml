@@ -1,4 +1,4 @@
-(* Regression tests for three scheduler correctness fixes:
+(* Regression tests for four correctness fixes:
 
    1. [Startup.run]'s termination fuel probed communication cost at
       volume 1 and scaled by the maximum volume — wrong (too small) for
@@ -8,7 +8,11 @@
    3. [Pipeline] executed the full steady-state prologue even when the
       loop runs fewer iterations than the pipeline depth, over-executing
       iterations the loop never requested (and over-counting
-      [total_time] / [overhead_ratio]). *)
+      [total_time] / [overhead_ratio]).
+   4. [Csdfg.validate] named an offending zero-delay cycle by enumerating
+      cycles, one subgraph and its components per start node below the
+      cycle: 29 s for a cycle on the last two of 8,000 nodes.  One
+      linear pass now checks legality and names the cycle. *)
 
 module Csdfg = Dataflow.Csdfg
 module Schedule = Cyclo.Schedule
@@ -140,6 +144,34 @@ let test_steady_state_unchanged () =
     (Pipeline.prologue_length p + Pipeline.epilogue_length p ~n:5)
     (instructions_executed p ~n:5)
 
+(* ------------------------------------------------------------------ *)
+(* 4. A late zero-delay cycle is named in linear time                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_late_zero_delay_cycle () =
+  let g = Workloads.Random_gen.layered ~nodes:100_000 ~seed:1 () in
+  let n = Csdfg.n_nodes g in
+  let a = Csdfg.node_of_label g "n99998"
+  and b = Csdfg.node_of_label g "n99999" in
+  let zero src dst =
+    { Digraph.Graph.src; dst; label = { Csdfg.delay = 0; volume = 1 } }
+  in
+  let g =
+    Csdfg.of_graph ~name:"late-cycle"
+      ~labels:(Array.init n (Csdfg.label g))
+      ~time:(Array.init n (Csdfg.time g))
+      (Digraph.Graph.create ~n (Csdfg.edges g @ [ zero a b; zero b a ]))
+  in
+  let t0 = Unix.gettimeofday () in
+  let result = Csdfg.check g in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (result unit string))
+    "names the cycle"
+    (Error "illegal CSDFG: cycle without positive delay: n99998 -> n99999")
+    result;
+  check_bool (Printf.sprintf "within 2 s (took %.3f s)" elapsed) true
+    (elapsed < 2.0)
+
 let () =
   Alcotest.run "regressions"
     [
@@ -169,5 +201,10 @@ let () =
             test_short_loop_accounting;
           Alcotest.test_case "steady state unchanged" `Quick
             test_steady_state_unchanged;
+        ] );
+      ( "legality",
+        [
+          Alcotest.test_case "late zero-delay cycle at 10^5 nodes" `Quick
+            test_late_zero_delay_cycle;
         ] );
     ]

@@ -443,6 +443,33 @@ let prop_parse_request_total =
     (fun s ->
       match P.parse_request s with Ok _ | Error _ -> true)
 
+(* An inline graph with a zero-delay cycle on its last two nodes, the
+   cycle an enumeration reaches last: the legality check is one linear
+   pass, so the event loop answers at once, with the named cycle. *)
+let test_inline_late_cycle_is_bad_graph () =
+  let text =
+    Dataflow.Io.to_string (Workloads.Random_gen.layered ~nodes:6000 ~seed:1 ())
+    ^ "edge n5998 n5999 0 1\nedge n5999 n5998 0 1\n"
+  in
+  let e = Engine.create () in
+  let line =
+    P.request_to_json ~id:1
+      (P.Schedule
+         { graph = P.Inline text; arch = "mesh:2x4"; knobs = P.default_knobs })
+  in
+  let t0 = Unix.gettimeofday () in
+  let reply, _ = Engine.handle_line e line in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match P.parse_reply reply with
+  | Ok (P.Error_reply { err; _ }) ->
+      check_str "code" "bad_graph" err.P.code;
+      check_str "message"
+        "illegal CSDFG: cycle without positive delay: n5998 -> n5999"
+        err.P.message
+  | _ -> Alcotest.fail "expected an error reply");
+  check_bool (Printf.sprintf "within 1 s (took %.3f s)" elapsed) true
+    (elapsed < 1.0)
+
 let test_inline_graph_round_trips () =
   (* an inline graph goes through json_escape (newlines!) and back *)
   let text = Dataflow.Io.to_string (fig7 ()) in
@@ -1743,6 +1770,8 @@ let () =
           q prop_parse_request_total;
           Alcotest.test_case "inline graph" `Quick
             test_inline_graph_round_trips;
+          Alcotest.test_case "inline late zero-delay cycle" `Quick
+            test_inline_late_cycle_is_bad_graph;
           Alcotest.test_case "control bytes stay escaped" `Quick
             test_control_bytes_stay_escaped;
         ] );

@@ -30,7 +30,7 @@ let test_fig7_shape () =
     [ "C"; "F"; "J"; "L"; "P" ];
   let singles = List.filter (fun v -> Csdfg.time g v = 1) (Csdfg.nodes g) in
   check "14 unit-time nodes" 14 (List.length singles);
-  check_bool "cyclic" true (Digraph.Cycles.has_cycle (Csdfg.graph g))
+  check_bool "cyclic" true (Oracle.Cycles.has_cycle (Csdfg.graph g))
 
 let test_elliptic_op_mix () =
   let g = Workloads.Filters.elliptic in
@@ -40,12 +40,12 @@ let test_elliptic_op_mix () =
     (List.length (List.filter (fun v -> Csdfg.time g v = 1) (Csdfg.nodes g)));
   check "mults" mults
     (List.length (List.filter (fun v -> Csdfg.time g v = 2) (Csdfg.nodes g)));
-  check_bool "cyclic" true (Digraph.Cycles.has_cycle (Csdfg.graph g))
+  check_bool "cyclic" true (Oracle.Cycles.has_cycle (Csdfg.graph g))
 
 let test_lattice_shape () =
   let g = Workloads.Filters.lattice in
   check "3 stages -> 14 nodes" 14 (Csdfg.n_nodes g);
-  check_bool "cyclic" true (Digraph.Cycles.has_cycle (Csdfg.graph g));
+  check_bool "cyclic" true (Oracle.Cycles.has_cycle (Csdfg.graph g));
   let g5 = Workloads.Filters.lattice_stages 5 in
   check "5 stages -> 22 nodes" 22 (Csdfg.n_nodes g5);
   check_bool "still legal" true (Csdfg.is_legal g5)
@@ -112,7 +112,7 @@ let test_lms_shape () =
   check_bool "legal" true (Csdfg.is_legal g);
   (* the weight-update recurrence is the binding cycle:
      mf -> sums -> err -> wu -> wa -> mf with delay 1 *)
-  check_bool "cyclic" true (Digraph.Cycles.has_cycle (Csdfg.graph g))
+  check_bool "cyclic" true (Oracle.Cycles.has_cycle (Csdfg.graph g))
 
 let test_volterra_shape () =
   let g = Workloads.Kernels.volterra in
@@ -217,7 +217,7 @@ let test_layered_shape () =
     (Csdfg.name g);
   check_bool "legal" true (Csdfg.is_legal g);
   check_bool "cyclic (feedback edges present)" true
-    (Digraph.Cycles.has_cycle (Csdfg.graph g));
+    (Oracle.Cycles.has_cycle (Csdfg.graph g));
   (* every backward edge carries delay — that is what keeps it legal *)
   List.iter
     (fun (e : Dataflow.Csdfg.attr Digraph.Graph.edge) ->
