@@ -247,11 +247,23 @@ let shift_up t =
   | [] -> ());
   { t with shift = t.shift + 1; length = max 0 (t.length - 1) }
 
+(* One shift by the smallest occupied row: the table length is
+   exponential in the input's bytes, so a shift per empty row is not
+   bounded by the input. *)
 let normalize t =
-  let rec settle t =
-    if n_assigned t > 0 && first_row t = [] then settle (shift_up t) else t
+  let top =
+    Array.fold_left
+      (fun acc m ->
+        match Imap.min_binding_opt m with
+        | Some (lo, _) -> min acc (lo - t.shift)
+        | None -> acc)
+      max_int t.occ
   in
-  let t = settle t in
+  let t =
+    if top = max_int || top <= 1 then t
+    else
+      { t with shift = t.shift + top - 1; length = max 0 (t.length - top + 1) }
+  in
   let rows = rows_needed t in
   if t.length > rows && rows > 0 then { t with length = rows } else t
 

@@ -141,9 +141,10 @@ val shift_up : t -> t
     @raise Invalid_argument when some node starts at row 1. *)
 
 val normalize : t -> t
-(** Shift up while row 1 is unoccupied (uniform shifts never change
-    schedule semantics), and clamp [length] down to {!rows_needed} when it
-    exceeds it needlessly — callers re-pad via PSL afterwards. *)
+(** Shift up until row 1 is occupied (uniform shifts never change
+    schedule semantics), in one O(P log k) step by the smallest occupied
+    row, and clamp [length] down to {!rows_needed} when it exceeds it
+    needlessly — callers re-pad via PSL afterwards. *)
 
 val compare_assignments : t -> t -> int
 (** Order on (length, entries) — detects fixed points across passes. *)
