@@ -217,6 +217,49 @@ let test_route_self () =
   let t = Topology.complete 4 in
   Alcotest.(check (list int)) "self route" [ 2 ] (Topology.route t ~src:2 ~dst:2)
 
+(* Every route the simulator can walk, pinned: the MD5 of one
+   "machine src dst route hops" line per ordered processor pair, over the
+   six machines of perfbench's suite-simulate workload, three more
+   [of_spec] shapes, a weighted machine whose routes tie on cost and a
+   degraded mesh.  The ties pin which of the equal-cost routes is taken,
+   so a change to how routes are stored or searched shows here. *)
+let pinned_machines () =
+  let spec s = Result.get_ok (Topology.of_spec s) in
+  List.map spec
+    [
+      "linear:8"; "ring:8"; "mesh:2x4"; "mesh:4x4"; "hypercube:3";
+      "complete:8"; "torus:4x4"; "star:8"; "tree:15";
+    ]
+  @ [
+      Topology.of_weighted_links ~name:"ties" ~n:6
+        [
+          (0, 1, 1); (1, 3, 2); (0, 2, 2); (2, 3, 1); (3, 4, 1); (4, 5, 3);
+          (3, 5, 4); (0, 5, 7); (1, 2, 1);
+        ];
+      snd
+        (Result.get_ok
+           (Cyclo.Degrade.sub_topology (spec "mesh:4x4") ~failed_pes:[ 5 ]
+              ~failed_links:[ (9, 10); (2, 3) ]));
+    ]
+
+let test_route_pinned () =
+  let lines =
+    List.concat_map
+      (fun t ->
+        let n = Topology.n_processors t in
+        List.concat
+          (List.init n (fun p ->
+               List.init n (fun q ->
+                   Printf.sprintf "%s %d %d %s %d" (Topology.name t) p q
+                     (String.concat "-"
+                        (List.map string_of_int (Topology.route t ~src:p ~dst:q)))
+                     (Topology.hops t p q)))))
+      (pinned_machines ())
+  in
+  Alcotest.(check string)
+    "routes and hops" "20790f72d25eac5e4db61995744bd4bf"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 (* ------------------------------------------------------------------ *)
 (* Properties of distances                                              *)
 (* ------------------------------------------------------------------ *)
@@ -375,6 +418,7 @@ let () =
             test_route_endpoints_and_length;
           Alcotest.test_case "consecutive links" `Quick test_route_consecutive_links;
           Alcotest.test_case "self" `Quick test_route_self;
+          Alcotest.test_case "pinned" `Quick test_route_pinned;
         ] );
       ( "distance-properties",
         [
