@@ -21,7 +21,7 @@
 module Csdfg = Dataflow.Csdfg
 module G = Digraph.Graph
 
-type transport = Store_and_forward | Wormhole
+type transport = Comm.transport = Store_and_forward | Wormhole
 
 type knobs = {
   mode : Remap.mode;
@@ -78,11 +78,7 @@ let validate ?topo k =
 let slowed k g =
   if k.slowdown > 1 then Dataflow.Transform.slowdown g k.slowdown else g
 
-let instance k g topo =
-  ( slowed k g,
-    match k.transport with
-    | Store_and_forward -> Comm.of_topology topo
-    | Wormhole -> Comm.wormhole topo )
+let instance k g topo = (slowed k g, Comm.of_transport k.transport topo)
 
 let add_graph buf g =
   Buffer.add_string buf (Printf.sprintf "graph %s\n" (Csdfg.name g));

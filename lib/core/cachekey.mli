@@ -29,9 +29,9 @@
     cache is a performance layer, not an integrity boundary — a forged
     collision only ever poisons the forger's own request. *)
 
-type transport =
-  | Store_and_forward  (** the paper's model: [hops * volume] *)
-  | Wormhole  (** pipelined cut-through: [hops + volume - 1] *)
+type transport = Comm.transport =
+  | Store_and_forward  (** the paper's model, {!Comm.of_topology} *)
+  | Wormhole  (** pipelined cut-through, {!Comm.wormhole} *)
 
 type knobs = {
   mode : Remap.mode;  (** default [With_relaxation] *)
@@ -70,7 +70,7 @@ val slowed : knobs -> Dataflow.Csdfg.t -> Dataflow.Csdfg.t
 val instance :
   knobs -> Dataflow.Csdfg.t -> Topology.t -> Dataflow.Csdfg.t * Comm.t
 (** {!slowed} plus the communication model of [transport] on the
-    machine: {!Comm.of_topology} or {!Comm.wormhole}. *)
+    machine, {!Comm.of_transport}. *)
 
 val canonical : knobs -> Dataflow.Csdfg.t -> Topology.t -> string
 (** The full canonical text of a schedule request.  Default [passes]

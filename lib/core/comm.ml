@@ -15,6 +15,13 @@ let wormhole topo =
     cost_fn = (fun p q m -> Topology.hops topo p q + m - 1);
   }
 
+type transport = Store_and_forward | Wormhole
+
+let of_transport transport topo =
+  match transport with
+  | Store_and_forward -> of_topology topo
+  | Wormhole -> wormhole topo
+
 (* Every constructor must reject n <= 0: a processor-less comm would make
    the schedulers sweep forever and die with a misleading internal error. *)
 let check_processors ctx n =

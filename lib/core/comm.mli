@@ -19,6 +19,17 @@ val wormhole : Topology.t -> t
     store-and-forward; this model shows the technique generalises
     (bench A12). *)
 
+(** How a message crosses the network: the transport knob of a
+    scheduling request and of a simulation. *)
+type transport =
+  | Store_and_forward  (** {!of_topology}, the paper's model *)
+  | Wormhole  (** {!wormhole} *)
+
+val of_transport : transport -> Topology.t -> t
+(** The cost model of a transport on a machine.  The request spec
+    ({!Cachekey.instance}) and the simulator's hops and wormhole windows
+    both price transfers with it. *)
+
 val zero : n:int -> name:string -> t
 (** [n] processors, all communication free — the model implicitly assumed
     by communication-oblivious schedulers.

@@ -201,7 +201,7 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
             (fun acc (v, old_pe, new_pe) ->
               let donor = of_original.(donor_of old_pe) in
               acc
-              + Topology.comm_cost dtopo ~src:donor ~dst:of_original.(new_pe)
+              + Comm.cost dcomm ~src:donor ~dst:of_original.(new_pe)
                   ~volume:(migration_volume sched v))
             0 moved
         in

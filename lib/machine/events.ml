@@ -84,15 +84,6 @@ let deliveries evs =
 let hops evs =
   List.length (List.filter (function Msg_hop _ -> true | _ -> false) evs)
 
-let stalls evs =
-  List.length (List.filter (function Stall _ -> true | _ -> false) evs)
-
-let retries evs =
-  List.length (List.filter (function Msg_retry _ -> true | _ -> false) evs)
-
-let drops evs =
-  List.length (List.filter (function Msg_dropped _ -> true | _ -> false) evs)
-
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                               *)
 (* ------------------------------------------------------------------ *)

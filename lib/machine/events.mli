@@ -116,9 +116,6 @@ val by_time : event list -> event list
 
 val deliveries : event list -> int
 val hops : event list -> int
-val stalls : event list -> int
-val retries : event list -> int
-val drops : event list -> int
 
 (** {2 Export} *)
 

@@ -3,7 +3,7 @@ module Schedule = Cyclo.Schedule
 module G = Digraph.Graph
 
 type policy = Contention_free | Fifo_links
-type transport = Cyclo.Cachekey.transport = Store_and_forward | Wormhole
+type transport = Cyclo.Comm.transport = Store_and_forward | Wormhole
 
 type stats = {
   policy : policy;
@@ -318,9 +318,11 @@ let event_loop ~policy ~transport ~recorder ph sched topo ~iterations =
     arrive ~src:msg.src_node ~msg:msg.id msg.target now
   in
 
-  (* Store-and-forward cost of one hop: link latency times data volume,
-     so weighted topologies are honoured. *)
-  let hop_time a b volume = Topology.hops topo a b * volume in
+  (* What moving [volume] from [a] to [b] costs under the run's
+     transport: one store-and-forward hop, a whole route priced
+     analytically, or a wormhole window. *)
+  let comm = Cyclo.Comm.of_transport transport topo in
+  let transfer a b volume = Cyclo.Comm.cost comm ~src:a ~dst:b ~volume in
   let route_links route =
     let rec pairs = function
       | a :: (b :: _ as rest) -> (a, b) :: pairs rest
@@ -345,7 +347,7 @@ let event_loop ~policy ~transport ~recorder ph sched topo ~iterations =
   (* One store-and-forward hop of [msg] over link [l] = [a -> b], which
      FIFO links book for the hop. *)
   let transmit l msg a b now =
-    let dt = hop_time a b msg.volume in
+    let dt = transfer a b msg.volume in
     (match policy with
     | Fifo_links -> l.free_at <- now + dt
     | Contention_free -> ());
@@ -364,113 +366,77 @@ let event_loop ~policy ~transport ~recorder ph sched topo ~iterations =
       (Events.Link_busy { link = o_link a b; msg = w.id })
   in
 
-  (* Fault-free transport: the next hop of [msg], or its whole remaining
-     route where the transfer is analytic. *)
+  (* A wormhole circuit under FIFO links holds the whole path for its
+     window, from when the last of its links frees — a conservative
+     circuit-switched approximation.  Returns the start. *)
+  let reserve msg hops ~now ~window =
+    let start =
+      List.fold_left (fun acc (x, y) -> max acc (link x y).free_at) now hops
+    in
+    if start > now then begin
+      Obs.Counters.incr c_stalls;
+      (* blame the link that frees last *)
+      let bx, by, _ =
+        List.fold_left
+          (fun (bx, by, bf) (x, y) ->
+            let f = (link x y).free_at in
+            if f > bf then (x, y, f) else (bx, by, bf))
+          (let x0, y0 = List.hd hops in
+           (x0, y0, (link x0 y0).free_at))
+          (List.tl hops)
+      in
+      msg_stall msg ~t:start ~wait:(start - now)
+        (Events.Link_busy { link = o_link bx by; msg = msg.id })
+    end;
+    List.iter
+      (fun (x, y) ->
+        let l = link x y in
+        if start > now then l.backlog_peak <- max l.backlog_peak 1;
+        l.free_at <- start + window)
+      hops;
+    start
+  in
+
+  (* Fault-free transport: the next hop of [msg] where store-and-forward
+     queues on FIFO links, else its whole remaining route in one
+     analytic step. *)
   let start_hop msg now =
-    match msg.remaining with
-    | a :: (b :: _ as rest) -> (
+    match (transport, policy, msg.remaining) with
+    | Store_and_forward, Fifo_links, a :: b :: _ ->
+        let l = link a b in
+        if l.free_at <= now then transmit l msg a b now
+        else enqueue l msg now
+    | _, _, a :: (_ :: _ as rest) ->
         let final = List.nth rest (List.length rest - 1) in
-        match (transport, policy) with
-        | Store_and_forward, Contention_free ->
-            (* whole remaining route in one analytical step *)
-            let n_hops = List.length rest in
-            let transit = hop_time a final msg.volume in
-            hop_count := !hop_count + n_hops;
-            (match recorder with
-            | None -> ()
-            | Some _ ->
-                (* per-link completion times: the route is shortest, so
-                   the per-hop times sum to the analytic transit *)
-                let tcur = ref now in
-                let rec walk = function
-                  | x :: (y :: _ as more) ->
-                      let dt = hop_time x y msg.volume in
-                      tcur := !tcur + dt;
-                      emit
-                        (Msg_hop
-                           {
-                             t = !tcur;
-                             msg = msg.id;
-                             link = o_link x y;
-                             busy = dt;
-                           });
-                      walk more
-                  | _ -> ()
-                in
-                walk msg.remaining);
-            msg.remaining <- [ final ];
-            push (now + transit) (Deliver msg)
-        | Store_and_forward, Fifo_links ->
-            let l = link a b in
-            if l.free_at <= now then transmit l msg a b now
-            else enqueue l msg now
-        | Wormhole, Contention_free ->
-            let transit = Topology.hops topo a final + msg.volume - 1 in
-            hop_count := !hop_count + List.length rest;
-            (match recorder with
-            | None -> ()
-            | Some _ ->
-                List.iter
-                  (fun (x, y) ->
-                    emit
-                      (Msg_hop
-                         {
-                           t = now + transit;
-                           msg = msg.id;
-                           link = o_link x y;
-                           busy = transit;
-                         }))
-                  (route_links msg.remaining));
-            msg.remaining <- [ final ];
-            push (now + transit) (Deliver msg)
-        | Wormhole, Fifo_links ->
-            (* Conservative circuit reservation: the whole path is held
-               for the transfer window, starting when every link frees. *)
-            let hops = route_links msg.remaining in
-            let start =
-              List.fold_left
-                (fun acc (x, y) -> max acc (link x y).free_at)
-                now hops
-            in
-            let window = Topology.hops topo a final + msg.volume - 1 in
-            if start > now then begin
-              Obs.Counters.incr c_stalls;
-              (* blame the link that frees last *)
-              let bx, by, _ =
-                List.fold_left
-                  (fun (bx, by, bf) (x, y) ->
-                    let f = (link x y).free_at in
-                    if f > bf then (x, y, f) else (bx, by, bf))
-                  (let x0, y0 = List.hd hops in
-                   (x0, y0, (link x0 y0).free_at))
-                  (List.tl hops)
-              in
-              msg_stall msg ~t:start ~wait:(start - now)
-                (Events.Link_busy { link = o_link bx by; msg = msg.id })
-            end;
+        let transit = transfer a final msg.volume in
+        let start =
+          match policy with
+          | Contention_free -> now
+          | Fifo_links ->
+              reserve msg (route_links msg.remaining) ~now ~window:transit
+        in
+        hop_count := !hop_count + List.length rest;
+        (match recorder with
+        | None -> ()
+        | Some _ ->
+            (* store-and-forward links complete one after another, and
+               as the route is shortest their times sum to the transit;
+               a wormhole circuit holds every link for the window *)
+            let elapsed = ref 0 in
             List.iter
               (fun (x, y) ->
-                let l = link x y in
-                if start > now then l.backlog_peak <- max l.backlog_peak 1;
-                l.free_at <- start + window)
-              hops;
-            hop_count := !hop_count + List.length hops;
-            (match recorder with
-            | None -> ()
-            | Some _ ->
-                List.iter
-                  (fun (x, y) ->
-                    emit
-                      (Msg_hop
-                         {
-                           t = start + window;
-                           msg = msg.id;
-                           link = o_link x y;
-                           busy = window;
-                         }))
-                  hops);
-            msg.remaining <- [ final ];
-            push (start + window) (Deliver msg))
+                let busy, t =
+                  match transport with
+                  | Store_and_forward ->
+                      let dt = transfer x y msg.volume in
+                      elapsed := !elapsed + dt;
+                      (dt, start + !elapsed)
+                  | Wormhole -> (transit, start + transit)
+                in
+                emit (Msg_hop { t; msg = msg.id; link = o_link x y; busy }))
+              (route_links msg.remaining));
+        msg.remaining <- [ final ];
+        push (start + transit) (Deliver msg)
     | _ -> assert false
   in
 
@@ -576,7 +542,7 @@ let event_loop ~policy ~transport ~recorder ph sched topo ~iterations =
                t = now;
                msg = msg.id;
                link = o_link prev next;
-               busy = hop_time prev next msg.volume;
+               busy = transfer prev next msg.volume;
              });
         msg.attempts <- 0;
         (match policy with

@@ -28,16 +28,17 @@ type policy =
   | Contention_free  (** infinite channels per link (the paper's model) *)
   | Fifo_links  (** each directed link carries one message at a time *)
 
-(** How a message crosses the network: the request spec's transport. *)
-type transport = Cyclo.Cachekey.transport =
+(** How a message crosses the network: the request spec's transport.
+    Every hop and window is priced by its {!Cyclo.Comm.of_transport}
+    model, on the routes {!Topology.route} reads off the machine's
+    stored shortest-path trees. *)
+type transport = Cyclo.Comm.transport =
   | Store_and_forward
-      (** the paper's model: each hop stores the whole message —
-          [hops * volume] per transfer *)
+      (** the paper's model: each hop stores the whole message *)
   | Wormhole
-      (** pipelined cut-through: [path latency + volume] per transfer;
-          under {!Fifo_links} the whole path is reserved for the
-          transfer window (a conservative circuit-switched
-          approximation) *)
+      (** pipelined cut-through, one window per transfer; under
+          {!Fifo_links} the whole path is reserved for the window (a
+          conservative circuit-switched approximation) *)
 
 type stats = {
   policy : policy;

@@ -3,8 +3,9 @@ type t = {
   n : int;
   links : (int * int * int) list;
       (* canonical: (min, max, latency), sorted, deduped *)
-  graph : int Digraph.Graph.t;  (* both directions, labelled with latency *)
-  dist : int array array;  (* all-pairs minimum latency *)
+  dist : int array array;  (* dist.(p).(q): minimum latency from p to q *)
+  parent : int array array;
+      (* parent.(p).(q): q's predecessor on p's shortest-path tree, -1 at p *)
 }
 
 let canonical_links links =
@@ -12,6 +13,9 @@ let canonical_links links =
   |> List.map (fun (a, b, w) -> (min a b, max a b, w))
   |> List.sort_uniq compare
 
+(* The one shortest-path search: Dijkstra from every processor, whose
+   trees give every distance and route the machine is asked for.  The
+   link graph is dropped once they are built. *)
 let of_weighted_links ~name ~n links =
   if n <= 0 then
     invalid_arg "Topology.of_links: need at least one processor";
@@ -37,11 +41,13 @@ let of_weighted_links ~name ~n links =
     in
     Digraph.Graph.create ~n edges
   in
-  let dist =
+  let trees =
     Array.init n (fun p ->
-        Digraph.Paths.dijkstra graph ~weight:(fun e -> e.Digraph.Graph.label)
+        Digraph.Paths.dijkstra_tree graph
+          ~weight:(fun e -> e.Digraph.Graph.label)
           ~src:p)
   in
+  let dist = Array.map fst trees and parent = Array.map snd trees in
   Array.iteri
     (fun p row ->
       Array.iteri
@@ -53,7 +59,7 @@ let of_weighted_links ~name ~n links =
                  name p q))
         row)
     dist;
-  { name; n; links; graph; dist }
+  { name; n; links; dist; parent }
 
 let of_links ~name ~n links =
   of_weighted_links ~name ~n (List.map (fun (a, b) -> (a, b, 1)) links)
@@ -120,58 +126,6 @@ let star n =
   of_links ~name:(Printf.sprintf "star-%d" n) ~n
     (List.init (n - 1) (fun i -> (0, i + 1)))
 
-let chordal_ring n ~chord =
-  if n < 3 then invalid_arg "Topology.chordal_ring: need at least 3 processors";
-  if chord < 2 || chord > n - 2 then
-    invalid_arg "Topology.chordal_ring: chord must be in 2 .. n-2";
-  let ring_links = (n - 1, 0) :: List.init (n - 1) (fun i -> (i, i + 1)) in
-  let chords = List.init n (fun i -> (i, (i + chord) mod n)) in
-  of_links
-    ~name:(Printf.sprintf "chordal-ring-%d-c%d" n chord)
-    ~n (ring_links @ chords)
-
-let torus3d ~x ~y ~z =
-  if x <= 0 || y <= 0 || z <= 0 then
-    invalid_arg "Topology.torus3d: empty dimensions";
-  let id i j k = (((i * y) + j) * z) + k in
-  let acc = ref [] in
-  (* consecutive links along a dimension, plus a wrap link when it would
-     not duplicate an existing one (size > 2) *)
-  let link_dim size c = c + 1 < size || (c + 1 = size && size > 2) in
-  for i = 0 to x - 1 do
-    for j = 0 to y - 1 do
-      for k = 0 to z - 1 do
-        if link_dim x i then acc := (id i j k, id ((i + 1) mod x) j k) :: !acc;
-        if link_dim y j then acc := (id i j k, id i ((j + 1) mod y) k) :: !acc;
-        if link_dim z k then acc := (id i j k, id i j ((k + 1) mod z)) :: !acc
-      done
-    done
-  done;
-  of_links
-    ~name:(Printf.sprintf "torus3d-%dx%dx%d" x y z)
-    ~n:(x * y * z) !acc
-
-let clusters ~clusters:k ~size =
-  if k < 1 || size < 1 then invalid_arg "Topology.clusters: empty machine";
-  let base c = c * size in
-  let acc = ref [] in
-  for c = 0 to k - 1 do
-    for i = 0 to size - 1 do
-      for j = i + 1 to size - 1 do
-        acc := (base c + i, base c + j) :: !acc
-      done
-    done
-  done;
-  (* gateways in a ring (or a single link for two clusters) *)
-  if k = 2 then acc := (base 0, base 1) :: !acc
-  else if k > 2 then
-    for c = 0 to k - 1 do
-      acc := (base c, base ((c + 1) mod k)) :: !acc
-    done;
-  of_links
-    ~name:(Printf.sprintf "clusters-%dx%d" k size)
-    ~n:(k * size) !acc
-
 let binary_tree n =
   if n <= 0 then invalid_arg "Topology.binary_tree: empty";
   let acc = ref [] in
@@ -196,42 +150,20 @@ let hops t p q =
   check_proc t q "hops";
   t.dist.(p).(q)
 
-let comm_cost t ~src ~dst ~volume =
-  if volume < 0 then invalid_arg "Topology.comm_cost: negative volume";
-  hops t src dst * volume
+(* Prepends [v] and its ancestors on a shortest-path tree, root first;
+   top level, so a route allocates nothing but its cells. *)
+let rec walk_up parent v acc =
+  if v < 0 then acc else walk_up parent parent.(v) (v :: acc)
 
 let route t ~src ~dst =
   check_proc t src "route";
   check_proc t dst "route";
-  let dist, parent =
-    Digraph.Paths.dijkstra_tree t.graph
-      ~weight:(fun e -> e.Digraph.Graph.label)
-      ~src
-  in
-  match Digraph.Paths.path_to ~dist ~parent dst with
-  | Some p -> p
-  | None -> assert false (* topologies are connected by construction *)
+  walk_up t.parent.(src) dst []
 
 let diameter t =
   Array.fold_left
     (fun acc row -> Array.fold_left max acc row)
     0 t.dist
-
-let average_distance t =
-  if t.n <= 1 then 0.
-  else begin
-    let total = ref 0 in
-    Array.iter (fun row -> Array.iter (fun d -> total := !total + d) row) t.dist;
-    float_of_int !total /. float_of_int (t.n * (t.n - 1))
-  end
-
-let degree t p =
-  check_proc t p "degree";
-  Digraph.Graph.out_degree t.graph p
-
-let max_degree t =
-  List.fold_left (fun acc p -> max acc (degree t p)) 0
-    (List.init t.n Fun.id)
 
 let dedup_stable l =
   let seen = Hashtbl.create 8 in
@@ -278,8 +210,6 @@ let relabel t perm =
   of_weighted_links ~name:(t.name ^ "-relabeled") ~n:t.n
     (List.map (fun (a, b, w) -> (inverse.(a), inverse.(b), w)) t.links)
 
-let is_isomorphic_layout a b = a.n = b.n && a.links = b.links
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>%s: %d processors, %d links, diameter %d@]" t.name t.n
     (List.length t.links) (diameter t)
@@ -301,10 +231,11 @@ let pp_distance_matrix ppf t =
     t.dist;
   Fmt.pf ppf "@]"
 
-(* Building a machine costs about P^2 log P (all-pairs distances), so a
-   spec from outside is capped.  The largest machine the repo ships has 16
-   processors; under the cap, the densest, complete:256, takes about 0.2 s
-   to build (on a 2-vCPU VM, with fig7 scheduled on it). *)
+(* Building a machine runs Dijkstra from every processor and keeps 2 P^2
+   words (the distances and the tree parents), so a spec from outside is
+   capped.  The largest machine the repo ships has 16 processors; under
+   the cap, the densest, complete:256, takes about 0.2 s to build (on a
+   2-vCPU VM, with fig7 scheduled on it). *)
 let max_processors = 256
 
 (* The CLI / RPC architecture spelling ("mesh:2x4", "ring:8", ...).

@@ -5,7 +5,9 @@
     contention-free multiple channels: transmitting a data volume [m]
     between processors [p] and [q] costs [hops p q * m] control steps,
     where [hops] is the minimum number of links on a route (Definition
-    3.5).  Hop distances are precomputed once per topology. *)
+    3.5).  A topology is built once: one shortest-path search from each
+    processor, whose distances and trees it keeps, so {!hops} and
+    {!route} are lookups.  The cost of a transfer is [Cyclo.Comm]'s. *)
 
 type t
 
@@ -47,22 +49,6 @@ val hypercube : int -> t
 val star : int -> t
 (** Processor 0 linked to every other ([n >= 2]). *)
 
-val chordal_ring : int -> chord:int -> t
-(** Ring of [n] processors with extra links between processors [chord]
-    apart — the classical augmented ring.
-    @raise Invalid_argument when [n < 3] or [chord] is not in
-    [2 .. n-2]. *)
-
-val torus3d : x:int -> y:int -> z:int -> t
-(** 3-D torus (k-ary n-cube style), processors numbered x-major.
-    Dimensions of size <= 2 get plain links instead of double wrap. *)
-
-val clusters : clusters:int -> size:int -> t
-(** Multi-chip machine: [clusters] completely-connected groups of
-    [size] processors; processor 0 of each cluster is a gateway, and the
-    gateways form a ring (a single chip-to-chip link pair each).
-    @raise Invalid_argument when [clusters < 1] or [size < 1]. *)
-
 val binary_tree : int -> t
 (** Complete binary tree shape over [n] nodes: node [i] links to
     [2i+1] and [2i+2] when present. *)
@@ -79,19 +65,11 @@ val hops : t -> int -> int -> int
     of links for unit-latency topologies, the minimum total latency for
     weighted ones. *)
 
-val comm_cost : t -> src:int -> dst:int -> volume:int -> int
-(** The paper's communication function
-    [M(p_src, p_dst) = hops * volume]; 0 when [src = dst]. *)
-
 val route : t -> src:int -> dst:int -> int list
-(** One shortest route, inclusive of both endpoints. *)
+(** One shortest route, inclusive of both endpoints: the path to [dst] on
+    [src]'s stored shortest-path tree.  Allocates only the list. *)
 
 val diameter : t -> int
-val average_distance : t -> float
-(** Mean hop distance over ordered pairs of distinct processors. *)
-
-val degree : t -> int -> int
-val max_degree : t -> int
 
 val induced : t -> int list -> t
 (** [induced topo keep] restricts the machine to the given processors
@@ -105,10 +83,6 @@ val relabel : t -> int array -> t
     old processor [perm.(i)] — used to match the paper's figure
     numbering.  @raise Invalid_argument when [perm] is not a
     permutation of [0 .. n-1]. *)
-
-val is_isomorphic_layout : t -> t -> bool
-(** Cheap structural equality: same size and identical sorted link lists
-    (not graph isomorphism). *)
 
 val pp : Format.formatter -> t -> unit
 val pp_distance_matrix : Format.formatter -> t -> unit

@@ -278,7 +278,8 @@ let test_weighted_distances () =
   in
   check "via middle" 4 (Topology.hops t 0 2);
   check "direct link kept for neighbours" 3 (Topology.hops t 0 1);
-  check "comm cost scales" 8 (Topology.comm_cost t ~src:0 ~dst:2 ~volume:2)
+  check "comm cost scales" 8
+    (Cyclo.Comm.cost (Cyclo.Comm.of_topology t) ~src:0 ~dst:2 ~volume:2)
 
 let test_weighted_rejects_bad_latency () =
   check_bool "zero latency" true
