@@ -1,4 +1,4 @@
-(* Regression tests for four correctness fixes:
+(* Regression tests for five correctness fixes:
 
    1. [Startup.run]'s termination fuel probed communication cost at
       volume 1 and scaled by the maximum volume — wrong (too small) for
@@ -12,7 +12,11 @@
    4. [Csdfg.validate] named an offending zero-delay cycle by enumerating
       cycles, one subgraph and its components per start node below the
       cycle: 29 s for a cycle on the last two of 8,000 nodes.  One
-      linear pass now checks legality and names the cycle. *)
+      linear pass now checks legality and names the cycle.
+   5. [Schedule.normalize] dropped empty leading rows one at a time, so
+      a compaction pass cost time linear in the table length, which is
+      exponential in the input's bytes: a node time of 10^9 took 50 s to
+      schedule, and a 100 ms deadline was answered after 5 s. *)
 
 module Csdfg = Dataflow.Csdfg
 module Schedule = Cyclo.Schedule
@@ -172,6 +176,52 @@ let test_late_zero_delay_cycle () =
   check_bool (Printf.sprintf "within 2 s (took %.3f s)" elapsed) true
     (elapsed < 2.0)
 
+(* ------------------------------------------------------------------ *)
+(* 5. A pass costs the same at any table length                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Two nodes, one of time [t], in a cycle that one delay makes legal:
+   the table is [t + 1] rows long on any machine. *)
+let long_row_text t =
+  Printf.sprintf "node a %d\nnode b 1\nedge a b 0 1\nedge b a 1 1\n" t
+
+let test_long_table_compacts () =
+  let g = Dataflow.Io.of_string_exn (long_row_text 1_000_000_000) in
+  let comm = Comm.of_topology (Topology.linear_array 2) in
+  let t0 = Unix.gettimeofday () in
+  let r = Cyclo.Compaction.run g comm in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check "start-up length" 1_000_000_001
+    (Schedule.length r.Cyclo.Compaction.startup);
+  check "best length" 1_000_000_001 (Schedule.length r.Cyclo.Compaction.best);
+  check_bool (Printf.sprintf "within 1 s (took %.3f s)" elapsed) true
+    (elapsed < 1.0)
+
+let test_long_table_meets_deadline () =
+  let module P = Service.Protocol in
+  let line =
+    P.request_to_json ~id:1
+      (P.Schedule
+         {
+           graph = P.Inline (long_row_text 100_000_000);
+           arch = "linear:2";
+           knobs = { P.default_knobs with deadline_ms = Some 100 };
+         })
+  in
+  let t0 = Unix.gettimeofday () in
+  let reply, _ = Service.Engine.handle_line (Service.Engine.create ()) line in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length reply && (String.sub reply i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  check_bool ("replies ok: " ^ reply) true (has "\"ok\":true");
+  check_bool (Printf.sprintf "within 1 s (took %.3f s)" elapsed) true
+    (elapsed < 1.0)
+
 let () =
   Alcotest.run "regressions"
     [
@@ -206,5 +256,12 @@ let () =
         [
           Alcotest.test_case "late zero-delay cycle at 10^5 nodes" `Quick
             test_late_zero_delay_cycle;
+        ] );
+      ( "long-tables",
+        [
+          Alcotest.test_case "10^9 node time compacts within 1 s" `Quick
+            test_long_table_compacts;
+          Alcotest.test_case "10^8 inline graph meets its deadline" `Quick
+            test_long_table_meets_deadline;
         ] );
     ]
