@@ -30,17 +30,6 @@ let dijkstra_tree g ~weight ~src =
   done;
   (dist, parent)
 
-let dijkstra g ~weight ~src = fst (dijkstra_tree g ~weight ~src)
-
-let path_to ~dist ~parent dst =
-  if dst < 0 || dst >= Array.length dist || dist.(dst) >= unreachable then None
-  else begin
-    let rec build v acc =
-      if parent.(v) < 0 then v :: acc else build parent.(v) (v :: acc)
-    in
-    Some (build dst [])
-  end
-
 (* Bellman-Ford from a virtual super-source at distance 0 to every node;
    [None] on a negative cycle. *)
 let feasible_potentials g ~weight =

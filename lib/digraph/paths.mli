@@ -6,9 +6,14 @@
 val unreachable : int
 (** Sentinel distance for unreachable pairs ([max_int / 4], safe to add). *)
 
-val dijkstra : 'e Graph.t -> weight:('e Graph.edge -> int) -> src:int -> int array
-(** Single-source shortest distances with non-negative weights.
-    Unreachable nodes get {!unreachable}.
+val dijkstra_tree :
+  'e Graph.t ->
+  weight:('e Graph.edge -> int) ->
+  src:int ->
+  int array * int array
+(** Single-source shortest distances with non-negative weights, and the
+    shortest-path tree as parent pointers ([-1] at the root and for
+    unreachable nodes).  Unreachable nodes get distance {!unreachable}.
     @raise Invalid_argument on a negative edge weight. *)
 
 val feasible_potentials :
@@ -18,14 +23,3 @@ val feasible_potentials :
     distances from a virtual super-source.  [None] when the system is
     infeasible (negative cycle).  This is the engine behind retiming
     feasibility. *)
-
-val path_to : dist:int array -> parent:int array -> int -> int list option
-(** Reconstruct a path from parent pointers produced by {!dijkstra_tree}. *)
-
-val dijkstra_tree :
-  'e Graph.t ->
-  weight:('e Graph.edge -> int) ->
-  src:int ->
-  int array * int array
-(** Like {!dijkstra} but also returns parent pointers ([-1] at the root
-    and for unreachable nodes). *)

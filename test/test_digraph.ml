@@ -220,30 +220,27 @@ let weighted () =
       edge 0 1 4; edge 0 2 1; edge 2 1 2; edge 1 3 1; edge 2 3 5; edge 3 4 3;
     ]
 
+let dijkstra g = Digraph.Paths.dijkstra_tree g ~weight:(fun e -> e.G.label) ~src:0
+
 let test_dijkstra () =
-  let d = Digraph.Paths.dijkstra (weighted ()) ~weight:(fun e -> e.G.label) ~src:0 in
+  let d, _ = dijkstra (weighted ()) in
   Alcotest.(check (array int)) "distances" [| 0; 3; 1; 4; 7 |] d
 
 let test_dijkstra_unreachable () =
-  let g = G.create ~n:3 [ edge 0 1 1 ] in
-  let d = Digraph.Paths.dijkstra g ~weight:(fun e -> e.G.label) ~src:0 in
-  check "unreachable" Digraph.Paths.unreachable d.(2)
+  let d, parent = dijkstra (G.create ~n:3 [ edge 0 1 1 ]) in
+  check "unreachable" Digraph.Paths.unreachable d.(2);
+  check "no parent" (-1) parent.(2)
 
 let test_dijkstra_negative_rejected () =
   let g = G.create ~n:2 [ edge 0 1 (-1) ] in
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Digraph.Paths.dijkstra: negative edge weight") (fun () ->
-      ignore (Digraph.Paths.dijkstra g ~weight:(fun e -> e.G.label) ~src:0))
+      ignore (dijkstra g))
 
+(* The tree of the path 0 -> 2 -> 1 -> 3 -> 4. *)
 let test_dijkstra_path () =
-  let dist, parent =
-    Digraph.Paths.dijkstra_tree (weighted ()) ~weight:(fun e -> e.G.label) ~src:0
-  in
-  (match Digraph.Paths.path_to ~dist ~parent 4 with
-  | Some p -> check_list_int "path 0->4" [ 0; 2; 1; 3; 4 ] p
-  | None -> Alcotest.fail "4 is reachable");
-  check_bool "unreachable path is None" true
-    (Digraph.Paths.path_to ~dist ~parent 99 = None)
+  let _, parent = dijkstra (weighted ()) in
+  Alcotest.(check (array int)) "parents" [| -1; 2; 0; 1; 3 |] parent
 
 let test_negative_cycle_detected () =
   let g = G.create ~n:2 [ edge 0 1 1; edge 1 0 (-2) ] in
